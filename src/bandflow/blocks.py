@@ -8,6 +8,8 @@ feed-forward slot can be replaced by a mixture-of-experts).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import tensor as tt
@@ -18,40 +20,52 @@ ROPE_BASE = 10000.0
 
 
 def sdp_attention(q, k, v):
-    """softmax(q k^T / sqrt(d)) v for 2-D [tokens, width] operands."""
-    if k.shape[0] != v.shape[0]:
-        raise DimensionError(f"key/value counts differ: {k.shape[0]} vs {v.shape[0]}")
-    if q.shape[-1] != k.shape[-1]:
-        raise DimensionError(f"query width {q.shape[-1]} != key width {k.shape[-1]}")
-    scale = 1.0 / np.sqrt(q.shape[-1])
-    scores = tt.mul(tt.matmul(q, tt.transpose(k)), scale)
-    return tt.matmul(tt.softmax(scores, axis=-1), v)
+    """softmax(q k^T / sqrt(d)) v over the last two axes.
+
+    Operands are [..., tokens, width]; leading axes (e.g. heads) broadcast.
+    The scale is applied to the queries, which touches fewer elements than
+    the scores; for power-of-four widths it is a power of two, so both orders
+    give the same bits.
+    """
+    return tt.attention(q, k, v, 1.0 / np.sqrt(q.shape[-1]))
 
 
-def rope_rotate(x, positions=None):
+def _rope_angles(positions, head_dim, heads):
+    """cos/sin tables [T, heads * head_dim / 2]: theta_j = ROPE_BASE^(-2j/head_dim)
+    per head, the same ladder repeated for every head."""
+    half = head_dim // 2
+    theta = ROPE_BASE ** (-2.0 * np.arange(half) / head_dim)
+    ang = positions[:, None] * theta[None, :]
+    cos, sin = np.tile(np.cos(ang), (1, heads)), np.tile(np.sin(ang), (1, heads))
+    cos.setflags(write=False)
+    sin.setflags(write=False)
+    return cos, sin
+
+
+@functools.lru_cache(maxsize=64)
+def _rope_tables(T, head_dim, heads):
+    """Cached angle tables for the default positions 0..T-1."""
+    return _rope_angles(np.arange(T, dtype=np.float64), head_dim, heads)
+
+
+def rope_rotate(x, positions=None, heads=1):
     """Rotate consecutive coordinate pairs by position-dependent angles.
 
-    x: [T, d] with even d; positions defaults to 0..T-1.  Angle ladder is
-    theta_j = ROPE_BASE^(-2j/d).
+    x: [T, heads * head_dim] with even head_dim; each head's slice is rotated
+    independently.  positions defaults to 0..T-1 (tables cached per shape).
+    Angle ladder is theta_j = ROPE_BASE^(-2j/head_dim).
     """
-    if x.shape[-1] % 2 != 0:
-        raise ConfigError(f"rope needs an even width, got {x.shape[-1]}")
     T, d = x.shape
+    if d % heads != 0 or (d // heads) % 2 != 0:
+        raise ConfigError(f"rope needs an even width per head, got {d} over {heads} heads")
     if positions is None:
-        positions = np.arange(T)
-    positions = np.asarray(positions, dtype=np.float64)
-    if positions.shape != (T,):
-        raise DimensionError(f"positions shape {positions.shape} != ({T},)")
-    half = d // 2
-    theta = ROPE_BASE ** (-2.0 * np.arange(half) / d)
-    ang = positions[:, None] * theta[None, :]
-    cos, sin = np.cos(ang), np.sin(ang)
-    xe = x[:, 0::2]
-    xo = x[:, 1::2]
-    ye = tt.sub(tt.mul(xe, cos), tt.mul(xo, sin))
-    yo = tt.add(tt.mul(xe, sin), tt.mul(xo, cos))
-    stacked = tt.concat([tt.reshape(ye, (T, half, 1)), tt.reshape(yo, (T, half, 1))], axis=2)
-    return tt.reshape(stacked, (T, d))
+        cos, sin = _rope_tables(T, d // heads, heads)
+    else:
+        positions = np.asarray(positions, dtype=np.float64)
+        if positions.shape != (T,):
+            raise DimensionError(f"positions shape {positions.shape} != ({T},)")
+        cos, sin = _rope_angles(positions, d // heads, heads)
+    return tt.rotate_pairs(x, cos, sin)
 
 
 def positional_encoding(T, d):
@@ -102,39 +116,33 @@ class GatedAttention:
         self.wo = p.add(f"{prefix}.wo", np.zeros((d, d)))
         self.alpha = p.add(f"{prefix}.alpha", np.zeros(()))
 
+    def _split(self, x):
+        """[T, d] -> [heads, T, head_dim]."""
+        return tt.swapaxes(tt.reshape(x, (x.shape[0], self.heads, self.head_dim)), 0, 1)
+
+    def _merge(self, x):
+        """[heads, T, head_dim] -> [T, d]."""
+        return tt.reshape(tt.swapaxes(x, 0, 1), (x.shape[1], self.d))
+
+    def _query(self, h, positions):
+        return self._split(rope_rotate(tt.matmul(h, self.wq), positions, self.heads))
+
+    def _cross(self, q, z_p):
+        kz = self._split(tt.matmul(z_p, self.wkz))
+        vz = self._split(tt.matmul(z_p, self.wvz))
+        return tt.mul(sdp_attention(q, kz, vz), tt.tanh(self.alpha))
+
     def __call__(self, h, z_p=None, positions=None):
-        T = h.shape[0]
-        q = tt.matmul(h, self.wq)
-        k = tt.matmul(h, self.wk)
-        v = tt.matmul(h, self.wv)
+        q = self._query(h, positions)
+        k = self._split(rope_rotate(tt.matmul(h, self.wk), positions, self.heads))
+        out = sdp_attention(q, k, self._split(tt.matmul(h, self.wv)))
         if z_p is not None:
-            kz = tt.matmul(z_p, self.wkz)
-            vz = tt.matmul(z_p, self.wvz)
-        outs = []
-        gate = tt.tanh(self.alpha)
-        for i in range(self.heads):
-            lo, hi = i * self.head_dim, (i + 1) * self.head_dim
-            qh = rope_rotate(q[:, lo:hi], positions)
-            kh = rope_rotate(k[:, lo:hi], positions)
-            out = sdp_attention(qh, kh, v[:, lo:hi])
-            if z_p is not None:
-                cross = sdp_attention(qh, kz[:, lo:hi], vz[:, lo:hi])
-                out = tt.add(out, tt.mul(cross, gate))
-            outs.append(out)
-        return tt.matmul(tt.concat(outs, axis=1), self.wo)
+            out = tt.add(out, self._cross(q, z_p))
+        return tt.matmul(self._merge(out), self.wo)
 
     def cross_branch(self, h, z_p, positions=None):
         """The gated cross-attention contribution alone (for inspection)."""
-        q = tt.matmul(h, self.wq)
-        kz = tt.matmul(z_p, self.wkz)
-        vz = tt.matmul(z_p, self.wvz)
-        outs = []
-        gate = tt.tanh(self.alpha)
-        for i in range(self.heads):
-            lo, hi = i * self.head_dim, (i + 1) * self.head_dim
-            qh = rope_rotate(q[:, lo:hi], positions)
-            outs.append(tt.mul(sdp_attention(qh, kz[:, lo:hi], vz[:, lo:hi]), gate))
-        return tt.concat(outs, axis=1)
+        return self._merge(self._cross(self._query(h, positions), z_p))
 
 
 class FeedForward:

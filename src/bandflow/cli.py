@@ -51,6 +51,16 @@ def _read_config(path):
     return cfg
 
 
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def _parse_bool(text):
+    try:
+        return _BOOLS[text.strip().lower()]
+    except KeyError:
+        raise ConfigError(f"expected true/false/1/0/yes/no, got {text!r}") from None
+
+
 class Options:
     """Flag > config-file > default resolution."""
 
@@ -63,7 +73,13 @@ class Options:
         if v is not None:
             return v
         if key in self._cfg:
-            return cast(self._cfg[key])
+            text = self._cfg[key]
+            if cast is bool:
+                return _parse_bool(text)
+            try:
+                return cast(text)
+            except ValueError:
+                raise ConfigError(f"bad value {text!r} for {key!r} in config") from None
         return default
 
 
@@ -173,13 +189,14 @@ def _cmd_train(args):
         _write_losses(loss_csv, losses)
     elif args.model == "accomp":
         steps = opt.get("steps", 300, int)
+        gamma = opt.get("gamma", 1.0, float)
+        trace = opt.get("trace", False, bool)
         model, losses, _, (train_pairs, held) = tr.train_accomp(seed=seed, steps=steps)
         save_checkpoint(model.params, out)
         _write_losses(loss_csv, losses)
-        gamma = opt.get("gamma", 1.0, float)
         corr, _ = tr.eval_accomp(model, held, n_tags=3, seed=seed, gamma=gamma)
         print(f"held-out correlation (gamma={gamma:g}): {corr:.4f}")
-        if opt.get("trace", False, bool):
+        if trace:
             rows = tr.route_trace_rows(model, held[0])
             tr.write_csv(str(Path(out).with_suffix(".route.csv")),
                          ["group", "unit", "expert", "entropy", "tau", "t"], rows)
@@ -204,9 +221,9 @@ def _cmd_sample(args):
     seed = opt.get("seed", 0, int)
     n = opt.get("n", 2000, int)
     out = opt.get("out", "samples.csv", str)
+    trace = [] if opt.get("trace", False, bool) else None
     est = MLPEstimator(2, 64, np.random.default_rng(0))
     load_into(est.params, args.ckpt)
-    trace = [] if opt.get("trace", False, bool) else None
     samples = tr.sample_flow2d(est, n, seed=seed, trace=trace)
     np.savetxt(out, samples, delimiter=",", header="x,y", comments="")
     if trace is not None:
@@ -223,13 +240,25 @@ def _note_files(path):
     return [p]
 
 
+def _thread_count():
+    """Worker threads for eval-melody: VBND_THREADS, an integer >= 1 (default 4)."""
+    text = os.environ.get("VBND_THREADS", "4")
+    try:
+        workers = int(text)
+    except ValueError:
+        raise ConfigError(f"VBND_THREADS must be an integer >= 1, got {text!r}") from None
+    if workers < 1:
+        raise ConfigError(f"VBND_THREADS must be an integer >= 1, got {text!r}")
+    return workers
+
+
 def _cmd_eval_melody(args):
+    workers = _thread_count()
     gen_files = _note_files(args.generated)
     ref_files = _note_files(args.reference)
     if len(gen_files) != len(ref_files):
         raise BandflowError(
             f"{len(gen_files)} generated vs {len(ref_files)} reference songs")
-    workers = int(os.environ.get("VBND_THREADS", "4"))
 
     def one(pair):
         g, r = pair
@@ -238,7 +267,7 @@ def _cmd_eval_melody(args):
         except InvalidMetric:
             return None
 
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as ex:
+    with ThreadPoolExecutor(max_workers=workers) as ex:
         rows = [r for r in ex.map(one, zip(gen_files, ref_files)) if r is not None]
     if not rows:
         raise BandflowError("no valid song pairs")

@@ -244,7 +244,7 @@ class WaveNetEstimator:
             raise DimensionError(
                 f"condition shape {c.shape} != ({self.cond_channels}, {T})")
         temb = self.time(float(t))          # [1, cond_channels]
-        c = tt.add(c, tt.transpose(temb))   # broadcast over frames
+        c = tt.add(c, tt.swapaxes(temb, 0, 1))  # broadcast over frames
         h = tt.matmul(self.w_in, x)
         r = self.residual_channels
         skip_sum = None

@@ -88,6 +88,8 @@ def _cases(rng):
     targets = rng.integers(classes, size=rows)
     gidx = rng.integers(m, size=int(rng.integers(2, 6)))
     dilation = int(rng.integers(1, 3))
+    heads = int(rng.integers(2, 4))
+    positions = rng.uniform(-3.0, 20.0, size=T)
 
     return {
         "add": (lambda a, b: tt.add(a, b), [_t(rng, m, n), _t(rng, m, n)]),
@@ -96,7 +98,12 @@ def _cases(rng):
         "div": (lambda a, b: tt.div(a, b), [_t(rng, m, n), _t(rng, m, n, low=0.5)]),
         "mul_broadcast": (lambda a, b: tt.mul(a, b), [_t(rng, m, n), _t(rng, n)]),
         "matmul": (lambda a, b: tt.matmul(a, b), [_t(rng, m, k), _t(rng, k, n)]),
-        "transpose": (lambda a: tt.transpose(a), [_t(rng, m, n)]),
+        "matmul_batched": (lambda a, b: tt.matmul(a, b), [_t(rng, heads, m, k), _t(rng, k, n)]),
+        "matmul_stacked": (lambda a, b: tt.matmul(a, b),
+                           [_t(rng, heads, m, k), _t(rng, heads, k, n)]),
+        "matmul_broadcast": (lambda a, b: tt.matmul(a, b),
+                             [_t(rng, 1, m, k), _t(rng, heads, k, n)]),
+        "swapaxes": (lambda a: tt.swapaxes(a, 0, -1), [_t(rng, heads, m, n)]),
         "reshape": (lambda a: tt.reshape(a, (n, m)), [_t(rng, m, n)]),
         "getitem": (lambda a: a[1:, ::2], [_t(rng, m + 1, 2 * n)]),
         "concat": (lambda a, b: tt.concat([a, b], axis=0), [_t(rng, m, n), _t(rng, k, n)]),
@@ -112,7 +119,9 @@ def _cases(rng):
         "mean": (lambda a: tt.mean(a, axis=1), [_t(rng, m, n)]),
         "softmax": (lambda a: tt.softmax(a, axis=-1), [_t(rng, m, classes)]),
         "rmsnorm": (lambda a, g: tt.rmsnorm(a, g), [_t(rng, m, n), _t(rng, n)]),
+        "rmsnorm_3d": (lambda a, g: tt.rmsnorm(a, g), [_t(rng, heads, m, n), _t(rng, n)]),
         "layernorm": (lambda a: tt.layernorm(a), [_t(rng, m, n)]),
+        "layernorm_3d": (lambda a: tt.layernorm(a), [_t(rng, heads, m, n)]),
         "adaln": (lambda a, s, b: tt.adaln(a, s, b),
                   [_t(rng, m, n), _t(rng, n), _t(rng, n)]),
         "conv1d": (lambda x, w, b: tt.conv1d(x, w, dilation=dilation, bias=b),
@@ -122,8 +131,16 @@ def _cases(rng):
         "gather": (lambda a: tt.gather(a, gidx), [_t(rng, m, n)]),
         "embedding_lookup": (lambda a: tt.embedding_lookup(a, gidx), [_t(rng, m, n)]),
         "rope_rotate": (lambda a: rope_rotate(a), [_t(rng, T, d2)]),
+        "rope_rotate_heads": (lambda a: rope_rotate(a, heads=heads), [_t(rng, T, heads * d2)]),
+        "rope_rotate_pos": (lambda a: rope_rotate(a, positions=positions, heads=heads),
+                            [_t(rng, T, heads * d2)]),
         "sdp_attention": (lambda q, k_, v: sdp_attention(q, k_, v),
                           [_t(rng, m, d2), _t(rng, k, d2), _t(rng, k, n)]),
+        "sdp_attention_heads": (lambda q, k_, v: sdp_attention(q, k_, v),
+                                [_t(rng, heads, m, d2), _t(rng, heads, k, d2),
+                                 _t(rng, heads, k, n)]),
+        "sdp_shared_kv": (lambda q, k_, v: sdp_attention(q, k_, v),
+                          [_t(rng, heads, m, d2), _t(rng, k, d2), _t(rng, k, n)]),
     }
 
 

@@ -126,7 +126,7 @@ class StylePredictorModel:
         z_p = tt.reshape(tt.gather(self.tag_emb, np.array([idx])),
                          (self.tag_tokens, self.embed))
         fused = style_alignment_stack(z_ct, z_p, self.align_layers)   # [P, 2*embed]
-        return tt.transpose(fused)                                    # [2*embed, P]
+        return tt.swapaxes(fused, 0, 1)                               # [2*embed, P]
 
     def __call__(self, xt, t, cond):
         phonemes, tag, vocal_prompt = cond

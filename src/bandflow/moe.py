@@ -175,7 +175,7 @@ class BandMoE:
         m = tt.mean(o_combined, axis=0, keepdims=True)                      # [1, d]
         sq = tt.mean(tt.mul(o_combined, o_combined), axis=0, keepdims=True)
         var = tt.sub(sq, tt.mul(m, m))
-        stats = tt.concat([tt.transpose(m), tt.transpose(var)], axis=1)     # [d, 2]
+        stats = tt.concat([tt.swapaxes(m, 0, 1), tt.swapaxes(var, 0, 1)], axis=1)  # [d, 2]
         logits = tt.matmul(stats, self.w_acoustic)
         gates = gumbel_gate(logits, state.tau, state.rng, state.mode)
         self.last_gates["acoustic"] = gates

@@ -37,7 +37,8 @@ __all__ = [
     "div",
     "neg",
     "matmul",
-    "transpose",
+    "swapaxes",
+    "rotate_pairs",
     "reshape",
     "getitem",
     "concat",
@@ -51,6 +52,7 @@ __all__ = [
     "sum_",
     "mean",
     "softmax",
+    "attention",
     "rmsnorm",
     "layernorm",
     "adaln",
@@ -191,11 +193,13 @@ class Tape:
         loss.accumulate(np.ones_like(loss.data))
         for node in reversed(self.nodes):
             g = node.out.grad
-            if g is None:
-                continue
-            for inp, fn in node.pairs:
-                if inp.requires_grad:
-                    inp.accumulate(fn(g))
+            if g is not None:
+                for inp, fn in node.pairs:
+                    if inp.requires_grad:
+                        inp.accumulate(fn(g))
+            # break the tape -> node -> output -> tape cycle so intermediates
+            # (and the inputs their closures captured) die by refcount
+            node.out = node.pairs = None
 
 
 _TAPE = None
@@ -207,14 +211,17 @@ def active_tape():
 
 def _make(out_data, pairs):
     """Wrap op output; record on the active tape when gradients are needed."""
-    rg = _TAPE is not None and any(t.requires_grad for t, _ in pairs)
     out = Tensor.__new__(Tensor)
     out.data = out_data
-    out.requires_grad = rg
+    out.requires_grad = False
     out.grad = None
     out.tape = None
-    if rg:
-        _TAPE.nodes.append(_Node(out, [(t, f) for t, f in pairs if t.requires_grad]))
+    if _TAPE is None:
+        return out
+    kept = [(t, f) for t, f in pairs if t.requires_grad]
+    if kept:
+        out.requires_grad = True
+        _TAPE.nodes.append(_Node(out, kept))
         out.tape = _TAPE
     return out
 
@@ -264,18 +271,28 @@ def detach(x):
 # that would produce a brand-new shape is a DimensionError.
 
 def _check_broadcast(a, b):
-    try:
-        out_shape = np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise DimensionError(f"incompatible shapes {a.shape} and {b.shape}") from None
-    if out_shape != a.shape and out_shape != b.shape:
+    sa, sb = a.shape, b.shape
+    if sa == sb:
+        return sa
+    # np.broadcast_shapes in plain Python: it is called on every elementwise
+    # op, where its generic path costs more than the arithmetic
+    n = max(len(sa), len(sb))
+    out_shape = []
+    for x, y in zip((1,) * (n - len(sa)) + sa, (1,) * (n - len(sb)) + sb):
+        if x != y and x != 1 and y != 1:
+            raise DimensionError(f"incompatible shapes {sa} and {sb}")
+        out_shape.append(x if y == 1 else y)
+    out_shape = tuple(out_shape)
+    if out_shape != sa and out_shape != sb:
         raise DimensionError(
-            f"broadcast of {a.shape} and {b.shape} would create new shape {out_shape}"
+            f"broadcast of {sa} and {sb} would create new shape {out_shape}"
         )
     return out_shape
 
 
 def _unbroadcast(g, shape):
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for i, (gs, ss) in enumerate(zip(g.shape, shape)):
@@ -387,23 +404,45 @@ def softplus(a):
 # linear algebra / shape ops
 
 def matmul(a, b):
+    """Matrix product; leading batch axes broadcast as in np.matmul."""
     a, b = _as_tensor(a), _as_tensor(b, like=a)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.ndim == 2 and b.ndim == 2:
+        if a.shape[1] != b.shape[0]:
+            raise DimensionError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
+        out = a.data @ b.data
+        return _make(out, [
+            (a, lambda g: g @ b.data.T),
+            (b, lambda g: a.data.T @ g),
+        ])
+    if a.ndim < 2 or b.ndim < 2:
+        raise DimensionError(f"matmul expects operands of rank >= 2, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
+    try:
+        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    except ValueError:
+        raise DimensionError(f"matmul batch axes differ: {a.shape} vs {b.shape}") from None
     out = a.data @ b.data
+
+    def grad_b(g):
+        if b.ndim == 2:
+            # fold the batch axes into the rows: one GEMM instead of a stack
+            return a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        return _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+
     return _make(out, [
-        (a, lambda g: g @ b.data.T),
-        (b, lambda g: a.data.T @ g),
+        (a, lambda g: _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)),
+        (b, grad_b),
     ])
 
 
-def transpose(a):
+def swapaxes(a, axis1, axis2):
     a = _as_tensor(a)
-    if a.ndim != 2:
-        raise DimensionError(f"transpose expects a 2-D tensor, got {a.shape}")
-    return _make(a.data.T.copy(), [(a, lambda g: g.T)])
+    try:
+        out = np.swapaxes(a.data, axis1, axis2).copy()
+    except ValueError:
+        raise DimensionError(f"cannot swap axes {axis1} and {axis2} of shape {a.shape}") from None
+    return _make(out, [(a, lambda g: np.swapaxes(g, axis1, axis2))])
 
 
 def reshape(a, shape):
@@ -479,9 +518,10 @@ def softmax(a, axis=-1):
     a = _as_tensor(a)
     if not np.isfinite(a.data).all():
         raise NumericError("softmax input contains non-finite values")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    # shift, exp and normalise in one buffer
+    out = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
 
     def grad_fn(g):
         dot = (g * out).sum(axis=axis, keepdims=True)
@@ -490,26 +530,120 @@ def softmax(a, axis=-1):
     return _make(out, [(a, grad_fn)])
 
 
+def attention(q, k, v, scale):
+    """softmax(scale * q k^T) v over the last two axes, as one op.
+
+    q: [..., Tq, d], k: [..., Tk, d], v: [..., Tk, dv]; leading axes
+    broadcast as in matmul.  One [..., Tq, Tk] buffer holds the scores and
+    then the probabilities, the only array kept for the backward: at a few
+    hundred tokens each extra temporary of that size costs page faults.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k, like=q), _as_tensor(v, like=q)
+    if min(q.ndim, k.ndim, v.ndim) < 2:
+        raise DimensionError(
+            f"attention expects operands of rank >= 2, got {q.shape}, {k.shape}, {v.shape}")
+    if k.shape[-2] != v.shape[-2]:
+        raise DimensionError(f"key/value counts differ: {k.shape[-2]} vs {v.shape[-2]}")
+    if q.shape[-1] != k.shape[-1]:
+        raise DimensionError(f"query width {q.shape[-1]} != key width {k.shape[-1]}")
+    try:
+        np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
+    except ValueError:
+        raise DimensionError(
+            f"attention batch axes differ: {q.shape}, {k.shape}, {v.shape}") from None
+    qs = q.data * scale
+    p = qs @ np.swapaxes(k.data, -1, -2).copy()
+    if not np.isfinite(p).all():
+        raise NumericError("attention scores contain non-finite values")
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = p @ v.data
+
+    memo = []
+
+    def grad_scores(g):
+        # d loss / d scores, shared by the q and k closures of one backward
+        if not memo or memo[0] is not g:
+            ds = g @ np.swapaxes(v.data, -1, -2)
+            ds -= (ds * p).sum(axis=-1, keepdims=True)
+            ds *= p
+            memo[:] = [g, ds]
+        return memo[1]
+
+    return _make(out, [
+        (q, lambda g: _unbroadcast((grad_scores(g) @ k.data) * scale, q.shape)),
+        (k, lambda g: _unbroadcast(np.swapaxes(grad_scores(g), -1, -2) @ qs, k.shape)),
+        (v, lambda g: _unbroadcast(np.swapaxes(p, -1, -2) @ g, v.shape)),
+    ])
+
+
+def rotate_pairs(a, cos, sin):
+    """Rotate coordinate pairs (a[..., 2j], a[..., 2j+1]) by angles given as
+    cos/sin tables of shape a.shape[:-1] + (a.shape[-1] // 2,).
+
+    The gradient is the incoming gradient rotated by the negated angles.
+    """
+    a = _as_tensor(a)
+    if a.shape[-1] % 2 != 0:
+        raise ConfigError(f"pair rotation needs an even width, got {a.shape[-1]}")
+    half_shape = a.shape[:-1] + (a.shape[-1] // 2,)
+    if np.shape(cos) != half_shape or np.shape(sin) != half_shape:
+        raise DimensionError(
+            f"angle tables {np.shape(cos)}, {np.shape(sin)} do not match {half_shape}")
+    cos = np.asarray(cos, dtype=a.dtype)
+    sin = np.asarray(sin, dtype=a.dtype)
+    xe, xo = a.data[..., 0::2], a.data[..., 1::2]
+    out = np.empty_like(a.data)
+    out[..., 0::2] = xe * cos - xo * sin
+    out[..., 1::2] = xe * sin + xo * cos
+
+    def grad_fn(g):
+        ge, go = g[..., 0::2], g[..., 1::2]
+        buf = np.empty_like(g)
+        buf[..., 0::2] = ge * cos + go * sin
+        buf[..., 1::2] = go * cos - ge * sin
+        return buf
+
+    return _make(out, [(a, grad_fn)])
+
+
 def rmsnorm(a, gain):
+    """a / sqrt(mean(a^2, last axis) + eps) * gain, as one op."""
     a, gain = _as_tensor(a), _as_tensor(gain, like=a)
     if a.shape[-1] == 0:
         raise DimensionError("rmsnorm over zero-length axis")
     if gain.shape != a.shape[-1:]:
         raise DimensionError(f"gain shape {gain.shape} does not match last axis of {a.shape}")
-    ms = mean(mul(a, a), axis=-1, keepdims=True)
-    inv = pow_(add(ms, RMSNORM_EPS), -0.5)
-    return mul(mul(a, inv), gain)
+    n = a.shape[-1]
+    inv = ((a.data * a.data).sum(axis=-1, keepdims=True) * (1.0 / n) + RMSNORM_EPS) ** -0.5
+    y = a.data * inv
+    out = y * gain.data
+
+    def grad_a(g):
+        gy = g * gain.data
+        return inv * (gy - y * ((gy * y).sum(axis=-1, keepdims=True) * (1.0 / n)))
+
+    return _make(out, [(a, grad_a), (gain, lambda g: _unbroadcast(g * y, gain.shape))])
 
 
 def layernorm(a):
+    """(a - mean) / sqrt(var + eps) over the last axis, as one op."""
     a = _as_tensor(a)
     if a.shape[-1] == 0:
         raise DimensionError("layernorm over zero-length axis")
-    mu = mean(a, axis=-1, keepdims=True)
-    centered = sub(a, mu)
-    var = mean(mul(centered, centered), axis=-1, keepdims=True)
-    inv = pow_(add(var, LAYERNORM_EPS), -0.5)
-    return mul(centered, inv)
+    n = a.shape[-1]
+    centered = a.data - a.data.sum(axis=-1, keepdims=True) * (1.0 / n)
+    var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / n)
+    inv = (var + LAYERNORM_EPS) ** -0.5
+    out = centered * inv
+
+    def grad_fn(g):
+        mean_g = g.sum(axis=-1, keepdims=True) * (1.0 / n)
+        mean_gy = (g * out).sum(axis=-1, keepdims=True) * (1.0 / n)
+        return inv * (g - mean_g - out * mean_gy)
+
+    return _make(out, [(a, grad_fn)])
 
 
 def adaln(h, scale, shift):

@@ -14,7 +14,8 @@ from bandflow.blocks import (
     sdp_attention,
     style_alignment_stack,
 )
-from bandflow.errors import ConfigError, DimensionError
+from bandflow.blocks import _rope_angles, _rope_tables
+from bandflow.errors import ConfigError, DimensionError, NumericError
 from bandflow.optim import Adam
 from bandflow.tensor import ParameterStore, Tape, Tensor, backward
 
@@ -54,6 +55,20 @@ class TestSdpAttention:
         assert (out <= v.max(axis=0) + 1e-9).all()
         assert (out >= v.min(axis=0) - 1e-9).all()
 
+    def test_heads_match_per_head_calls(self):
+        rng = np.random.default_rng(7)
+        q, k, v = (rng.standard_normal((3, 5, 4)), rng.standard_normal((3, 6, 4)),
+                   rng.standard_normal((3, 6, 2)))
+        out = sdp_attention(Tensor(q), Tensor(k), Tensor(v)).data
+        for h in range(3):
+            np.testing.assert_array_equal(
+                out[h], sdp_attention(Tensor(q[h]), Tensor(k[h]), Tensor(v[h])).data)
+
+    def test_non_finite_scores_rejected(self):
+        q = Tensor([[np.inf, 0.0]])
+        with pytest.raises(NumericError):
+            sdp_attention(q, Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2))))
+
     def test_mismatched_widths(self):
         with pytest.raises(DimensionError):
             sdp_attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))),
@@ -61,9 +76,55 @@ class TestSdpAttention:
         with pytest.raises(DimensionError):
             sdp_attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))),
                           Tensor(np.zeros((3, 4))))
+        with pytest.raises(DimensionError):
+            sdp_attention(Tensor(np.zeros((2, 1, 3))), Tensor(np.zeros((3, 2, 3))),
+                          Tensor(np.zeros((3, 2, 4))))
+
+
+def _rope_reference(x, positions):
+    """Rotate each coordinate pair of x [T, d] by position * 10000^(-2j/d)."""
+    T, d = x.shape
+    theta = 10000.0 ** (-2.0 * np.arange(d // 2) / d)
+    z = (x[:, 0::2] + 1j * x[:, 1::2]) * np.exp(1j * np.outer(positions, theta))
+    out = np.empty_like(x)
+    out[:, 0::2], out[:, 1::2] = z.real, z.imag
+    return out
 
 
 class TestRope:
+    def test_matches_complex_rotation(self):
+        x = np.random.default_rng(3).standard_normal((7, 6))
+        np.testing.assert_allclose(rope_rotate(Tensor(x)).data,
+                                   _rope_reference(x, np.arange(7)), rtol=0, atol=1e-14)
+
+    def test_heads_rotate_independently(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((5, 12))
+        pos = rng.uniform(0, 9, size=5)
+        out = rope_rotate(Tensor(x), positions=pos, heads=3).data
+        for h in range(3):
+            sl = slice(4 * h, 4 * h + 4)
+            np.testing.assert_array_equal(out[:, sl],
+                                          rope_rotate(Tensor(x[:, sl]), positions=pos).data)
+
+    def test_cached_tables_equal_fresh(self):
+        for T, hd, heads in ((1, 2, 1), (16, 16, 4), (64, 8, 2)):
+            cos, sin = _rope_tables(T, hd, heads)
+            assert _rope_tables(T, hd, heads)[0] is cos
+            fresh_cos, fresh_sin = _rope_angles(np.arange(T, dtype=np.float64), hd, heads)
+            np.testing.assert_array_equal(cos, fresh_cos)
+            np.testing.assert_array_equal(sin, fresh_sin)
+            ang = np.outer(np.arange(T), 10000.0 ** (-2.0 * np.arange(hd // 2) / hd))
+            np.testing.assert_allclose(cos, np.tile(np.cos(ang), (1, heads)), atol=1e-15)
+            assert not cos.flags.writeable
+        x = Tensor(np.random.default_rng(5).standard_normal((9, 8)))
+        np.testing.assert_array_equal(rope_rotate(x, heads=2).data,
+                                      rope_rotate(x, positions=np.arange(9), heads=2).data)
+
+    def test_width_not_split_evenly_rejected(self):
+        with pytest.raises(ConfigError):
+            rope_rotate(Tensor(np.zeros((2, 12))), heads=4)
+
     def test_position_zero_identity(self):
         x = Tensor(np.random.default_rng(0).standard_normal((1, 8)))
         out = rope_rotate(x, positions=[0])
@@ -136,7 +197,46 @@ def _block(d=8, heads=2, seed=0):
     return block, params, rng
 
 
+def _softmax_rows(s):
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _attention_reference(attn, h, z_p):
+    """Per-head loop over plain numpy, the layout the module must reproduce."""
+    hd = attn.head_dim
+    q, k, v = (h @ w.data for w in (attn.wq, attn.wk, attn.wv))
+    outs = []
+    for i in range(attn.heads):
+        sl = slice(i * hd, (i + 1) * hd)
+        qh = _rope_reference(q[:, sl], np.arange(len(h)))
+        kh = _rope_reference(k[:, sl], np.arange(len(h)))
+        out = _softmax_rows(qh @ kh.T / np.sqrt(hd)) @ v[:, sl]
+        if z_p is not None:
+            kz, vz = z_p @ attn.wkz.data[:, sl], z_p @ attn.wvz.data[:, sl]
+            out = out + _softmax_rows(qh @ kz.T / np.sqrt(hd)) @ vz * np.tanh(attn.alpha.data)
+        outs.append(out)
+    return np.concatenate(outs, axis=1) @ attn.wo.data
+
+
 class TestGatedAttention:
+    @pytest.mark.parametrize("with_prompt", [False, True])
+    def test_all_heads_match_per_head_loop(self, with_prompt):
+        params = ParameterStore()
+        rng = np.random.default_rng(6)
+        attn = GatedAttention(16, 4, rng, params, "a")
+        attn.wo.data[...] = rng.standard_normal((16, 16))
+        attn.alpha.data[...] = 0.7
+        h = rng.standard_normal((9, 16))
+        z_p = rng.standard_normal((3, 16)) if with_prompt else None
+        out = attn(Tensor(h), None if z_p is None else Tensor(z_p)).data
+        ref = _attention_reference(attn, h, z_p)
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+        if with_prompt:
+            cross = attn.cross_branch(Tensor(h), Tensor(z_p)).data @ attn.wo.data
+            ref_cross = ref - _attention_reference(attn, h, None)
+            assert np.abs(cross - ref_cross).max() <= 1e-12 * np.abs(ref).max()
+
     def test_zero_contribution_at_init(self):
         params = ParameterStore()
         rng = np.random.default_rng(0)

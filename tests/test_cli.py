@@ -4,7 +4,8 @@ import io
 import numpy as np
 import pytest
 
-from bandflow.cli import cli_dispatch
+from bandflow.cli import Options, build_parser, cli_dispatch
+from bandflow.errors import ConfigError
 from bandflow.melody import NoteSequence, save_notes
 from bandflow.metrics import REPORT_COLUMNS
 
@@ -77,6 +78,47 @@ class TestConfigResolution:
                             "--out", str(tmp_path / "x")], capsys)
         assert code == 2
         assert "error" in err.lower()
+
+
+class TestConfigBooleans:
+    def _options(self, tmp_path, text):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        args = build_parser().parse_args(["sample", "--ckpt", "x.vbnd", "--config", str(cfg)])
+        return Options(args)
+
+    @pytest.mark.parametrize("text,value", [
+        ("true", True), ("True", True), ("1", True), ("yes", True),
+        ("false", False), ("FALSE", False), ("0", False), ("no", False),
+    ])
+    def test_spellings(self, tmp_path, text, value):
+        assert self._options(tmp_path, f"trace={text}\n").get("trace", None, bool) is value
+
+    def test_other_value_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="maybe"):
+            self._options(tmp_path, "trace=maybe\n").get("trace", False, bool)
+
+    def test_trace_false_writes_no_trace(self, tmp_path, capsys):
+        ck = tmp_path / "a.vbnd"
+        code, _, _ = run(["train", "--model", "flow2d", "--steps", "2", "--out", str(ck)],
+                         capsys)
+        assert code == 0
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("trace=false\nn=5\n")
+        samples = tmp_path / "s.csv"
+        code, _, _ = run(["sample", "--ckpt", str(ck), "--config", str(cfg),
+                          "--out", str(samples)], capsys)
+        assert code == 0
+        assert samples.exists()
+        assert not samples.with_suffix(".trace.csv").exists()
+
+    def test_bad_boolean_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("trace=sometimes\n")
+        code, _, err = run(["sample", "--ckpt", str(tmp_path / "none.vbnd"),
+                            "--config", str(cfg)], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "sometimes" in err
 
 
 class TestTrainAndSample:
@@ -157,6 +199,16 @@ class TestEvalMelody:
         self._write_songs(d, seed=1)
         code, _, _ = run(["eval-melody", str(d), str(d)], capsys)
         assert code == 0
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
+    def test_bad_thread_env_exits_two(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("VBND_THREADS", value)
+        d = tmp_path / "songs"
+        self._write_songs(d, seed=1)
+        code, out, err = run(["eval-melody", str(d), str(d)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: VBND_THREADS")
 
 
 class TestEvalF0:

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +40,46 @@ class TestMatmul:
     def test_shape_mismatch_names_shapes(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
             tt.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
+
+
+class TestBatchedMatmul:
+    @pytest.mark.parametrize("sa,sb", [((3, 4, 5), (5, 2)), ((3, 4, 5), (3, 5, 2)),
+                                       ((1, 4, 5), (3, 5, 2)), ((4, 5), (2, 5, 3))])
+    def test_matches_numpy(self, sa, sb):
+        rng = np.random.default_rng(0)
+        a, b = rng.standard_normal(sa), rng.standard_normal(sb)
+        np.testing.assert_array_equal(tt.matmul(Tensor(a), Tensor(b)).data, a @ b)
+
+    def test_grads_sum_over_batch(self):
+        rng = np.random.default_rng(1)
+        a = Tensor(rng.standard_normal((3, 4, 5)))
+        b = Tensor(rng.standard_normal((5, 2)))
+        ga, gb = grad_of(lambda x, y: tt.sum_(tt.matmul(x, y)), a, b)
+        np.testing.assert_allclose(ga, np.broadcast_to(b.data.sum(axis=1), (3, 4, 5)))
+        np.testing.assert_allclose(gb, np.broadcast_to(a.data.sum(axis=(0, 1))[:, None], (5, 2)))
+
+    def test_mismatch_rejected(self):
+        with pytest.raises(DimensionError, match="inner"):
+            tt.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4))))
+        with pytest.raises(DimensionError, match="batch"):
+            tt.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
+        with pytest.raises(DimensionError):
+            tt.matmul(Tensor(np.zeros(4)), Tensor(np.zeros((4, 2))))
+
+
+class TestSwapaxes:
+    def test_values_and_grad(self):
+        rng = np.random.default_rng(2)
+        a = Tensor(rng.standard_normal((2, 3, 4)))
+        out = tt.swapaxes(a, 0, -1)
+        np.testing.assert_array_equal(out.data, np.swapaxes(a.data, 0, -1))
+        w = rng.standard_normal((4, 3, 2))
+        (ga,) = grad_of(lambda x: tt.sum_(tt.mul(tt.swapaxes(x, 0, -1), w)), a)
+        np.testing.assert_array_equal(ga, np.swapaxes(w, 0, -1))
+
+    def test_bad_axis(self):
+        with pytest.raises(DimensionError):
+            tt.swapaxes(Tensor(np.zeros((2, 3))), 0, 2)
 
 
 class TestSoftmax:
@@ -153,6 +196,22 @@ class TestBackward:
             backward(loss)
             with pytest.raises(StateError):
                 backward(loss)
+
+    def test_tape_releases_intermediates_after_backward(self):
+        w = Tensor(np.ones(64), requires_grad=True)
+        gc.disable()
+        try:
+            with Tape() as tape:
+                mid = tt.exp(tt.mul(w, 2.0))
+                ref = weakref.ref(mid.data)
+                loss = tt.sum_(tt.mul(mid, mid))
+                backward(loss)
+            del mid, loss
+            assert ref() is None
+            assert len(tape.nodes) == 4
+            assert w.grad[0] == pytest.approx(4.0 * np.exp(4.0))
+        finally:
+            gc.enable()
 
     def test_nonparticipating_leaf_zero_grad(self):
         w = Tensor([1.0, 2.0], requires_grad=True)
