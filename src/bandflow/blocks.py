@@ -19,6 +19,12 @@ from .tensor import ParameterStore, Tensor
 ROPE_BASE = 10000.0
 
 
+def sinusoid_ladder(width):
+    """Frequencies ROPE_BASE^(-2j/width), j < width/2, shared by RoPE, the
+    position features and the flow-time features."""
+    return ROPE_BASE ** (-2.0 * np.arange(width // 2) / width)
+
+
 def sdp_attention(q, k, v):
     """softmax(q k^T / sqrt(d)) v over the last two axes.
 
@@ -31,11 +37,9 @@ def sdp_attention(q, k, v):
 
 
 def _rope_angles(positions, head_dim, heads):
-    """cos/sin tables [T, heads * head_dim / 2]: theta_j = ROPE_BASE^(-2j/head_dim)
-    per head, the same ladder repeated for every head."""
-    half = head_dim // 2
-    theta = ROPE_BASE ** (-2.0 * np.arange(half) / head_dim)
-    ang = positions[:, None] * theta[None, :]
+    """cos/sin tables [T, heads * head_dim / 2]: the sinusoid ladder of
+    head_dim, repeated for every head."""
+    ang = positions[:, None] * sinusoid_ladder(head_dim)[None, :]
     cos, sin = np.tile(np.cos(ang), (1, heads)), np.tile(np.sin(ang), (1, heads))
     cos.setflags(write=False)
     sin.setflags(write=False)
@@ -53,7 +57,7 @@ def rope_rotate(x, positions=None, heads=1):
 
     x: [T, heads * head_dim] with even head_dim; each head's slice is rotated
     independently.  positions defaults to 0..T-1 (tables cached per shape).
-    Angle ladder is theta_j = ROPE_BASE^(-2j/head_dim).
+    Angle ladder is sinusoid_ladder(head_dim).
     """
     T, d = x.shape
     if d % heads != 0 or (d // heads) % 2 != 0:
@@ -70,9 +74,7 @@ def rope_rotate(x, positions=None, heads=1):
 
 def positional_encoding(T, d):
     """Fixed sin/cos position features of width d (d even)."""
-    half = d // 2
-    theta = ROPE_BASE ** (-2.0 * np.arange(half) / d)
-    ang = np.arange(T)[:, None] * theta[None, :]
+    ang = np.arange(T)[:, None] * sinusoid_ladder(d)[None, :]
     pe = np.zeros((T, d))
     pe[:, 0::2] = np.sin(ang)
     pe[:, 1::2] = np.cos(ang)

@@ -166,45 +166,36 @@ def _cmd_gen_data(args):
     return 0
 
 
-def _write_losses(path, losses):
-    tr.write_csv(path, ["step", "loss"], list(enumerate(losses)))
-
-
 def _cmd_train(args):
     opt = Options(args)
     seed = opt.get("seed", 0, int)
     out = opt.get("out", f"{args.model}.vbnd", str)
-    loss_csv = str(Path(out).with_suffix(".losses.csv"))
     if args.model == "flow2d":
         steps = opt.get("steps", 1500, int)
-        est, losses, _ = tr.train_flow2d(seed=seed, steps=steps)
-        save_checkpoint(est.params, out)
-        _write_losses(loss_csv, losses)
+        model, losses, _ = tr.train_flow2d(seed=seed, steps=steps)
     elif args.model == "style":
         steps = opt.get("steps", 200, int)
         warmup = opt.get("warmup", 0, int)
         model, losses, _ = tr.train_style_predictor(seed=seed, steps=steps,
                                                     warmup_steps=warmup)
-        save_checkpoint(model.params, out)
-        _write_losses(loss_csv, losses)
     elif args.model == "accomp":
         steps = opt.get("steps", 300, int)
         gamma = opt.get("gamma", 1.0, float)
         trace = opt.get("trace", False, bool)
-        model, losses, _, (train_pairs, held) = tr.train_accomp(seed=seed, steps=steps)
-        save_checkpoint(model.params, out)
-        _write_losses(loss_csv, losses)
+        model, losses, _, (_, held) = tr.train_accomp(seed=seed, steps=steps)
+    else:
+        steps = opt.get("steps", 400, int)
+        model, losses, (_, held) = tr.train_melody(seed=seed, steps=steps)
+    save_checkpoint(model.params, out)
+    tr.write_csv(str(Path(out).with_suffix(".losses.csv")), ["step", "loss"],
+                 list(enumerate(losses)))
+    if args.model == "accomp":
         corr, _ = tr.eval_accomp(model, held, n_tags=3, seed=seed, gamma=gamma)
         print(f"held-out correlation (gamma={gamma:g}): {corr:.4f}")
         if trace:
             rows = tr.route_trace_rows(model, held[0])
-            tr.write_csv(str(Path(out).with_suffix(".route.csv")),
-                         ["group", "unit", "expert", "entropy", "tau", "t"], rows)
-    else:
-        steps = opt.get("steps", 400, int)
-        model, losses, (train_songs, held) = tr.train_melody(seed=seed, steps=steps)
-        save_checkpoint(model.params, out)
-        _write_losses(loss_csv, losses)
+            tr.write_csv(str(Path(out).with_suffix(".route.csv")), tr.ROUTE_COLUMNS, rows)
+    elif args.model == "melody":
         acc = tr.melody_pitch_accuracy(model, held)
         mean_row, rows = tr.melody_report(model, held)
         report_csv = str(Path(out).with_suffix(".report.csv"))
@@ -300,7 +291,7 @@ def _cmd_route_trace(args):
     out = opt.get("out", "route.csv", str)
     model, _, _, (_, held) = tr.train_accomp(seed=seed, steps=5)
     rows = tr.route_trace_rows(model, held[0])
-    tr.write_csv(out, ["group", "unit", "expert", "entropy", "tau", "t"], rows)
+    tr.write_csv(out, tr.ROUTE_COLUMNS, rows)
     print(f"wrote routing trace to {out}")
     return 0
 

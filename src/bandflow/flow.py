@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as tt
+from .blocks import sinusoid_ladder
 from .errors import ConfigError, DimensionError, NumericError
 from .tensor import ParameterStore, Tensor
 
@@ -25,7 +26,6 @@ class FlowConfig:
     infer_steps: int = 25
     cfg_scale: float = 3.0
     cond_drop_prob: float = 0.2
-    continuous_t: bool = False
 
     def __post_init__(self):
         if self.train_timesteps < 1:
@@ -59,10 +59,7 @@ def make_flow_sample(x1, rng, cfg: FlowConfig, x0=None, t=None) -> FlowSample:
     if x0 is None:
         x0 = rng.standard_normal(x1.shape)
     if t is None:
-        if cfg.continuous_t:
-            t = float(rng.uniform())
-        else:
-            t = float(rng.integers(cfg.train_timesteps)) / cfg.train_timesteps
+        t = float(rng.integers(cfg.train_timesteps)) / cfg.train_timesteps
     return FlowSample(x0=np.asarray(x0, dtype=np.float64), x1=x1, t=float(t))
 
 
@@ -125,9 +122,7 @@ def noisy_prompt_start(prompt, rng, t_start=0.5):
 def sinusoidal_embedding(t, dim=TIME_EMBED_DIM):
     """Classic sin/cos features of scalar times; t is a float or 1-D array."""
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    half = dim // 2
-    freqs = np.exp(-np.log(10000.0) * np.arange(half) / half)
-    ang = t[:, None] * freqs[None, :]
+    ang = t[:, None] * sinusoid_ladder(dim)[None, :]
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
 
 

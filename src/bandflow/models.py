@@ -23,7 +23,7 @@ class AccompFlowModel:
     """
 
     def __init__(self, rng, n_tags, data_dim=16, width=64, heads=4, blocks=2,
-                 experts=4, tag_tokens=2, balance_form="switch"):
+                 experts=4, tag_tokens=2):
         self.n_tags = n_tags
         self.data_dim = data_dim
         self.width = width
@@ -42,7 +42,7 @@ class AccompFlowModel:
         self.blocks = []
         for i in range(blocks):
             moe = BandMoE(width, experts, rng, p, f"accomp.b{i}.moe",
-                          time_dim=width, balance_form=balance_form)
+                          time_dim=width)
             self.moes.append(moe)
             self.blocks.append(BandBlock(width, heads, rng, p, f"accomp.b{i}", moe=moe))
         self.w_out = p.add("accomp.w_out", np.zeros((width, data_dim)))

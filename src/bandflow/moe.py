@@ -126,10 +126,9 @@ class BandMoE:
     """The full three-group expert layer plus global gate (one block's slot)."""
 
     def __init__(self, d, n_experts, rng, params: ParameterStore, prefix,
-                 time_dim=None, hidden=None, balance_form="switch"):
+                 time_dim=None, hidden=None):
         self.d = d
         self.n = n_experts
-        self.balance_form = balance_form
         time_dim = time_dim or d
         p = params
         self.aligned = ExpertGroup(d, n_experts, rng, p, f"{prefix}.aligned", hidden)
@@ -196,7 +195,7 @@ class BandMoE:
         for name in ("aligned", "controlled", "acoustic"):
             if name not in self.last_gates:
                 continue
-            term = balance_loss(self.last_gates[name], alpha, self.balance_form)
+            term = balance_loss(self.last_gates[name], alpha)
             total = term if total is None else tt.add(total, term)
         return total
 

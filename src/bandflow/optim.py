@@ -46,7 +46,3 @@ class Adam:
 
     def zero_grad(self):
         self.store.zero_grad()
-
-
-def adam_step(opt: Adam) -> None:
-    opt.step()

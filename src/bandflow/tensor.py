@@ -26,10 +26,6 @@ __all__ = [
     "Tensor",
     "Tape",
     "ParameterStore",
-    "tensor",
-    "zeros",
-    "ones",
-    "randn",
     "backward",
     "add",
     "sub",
@@ -61,7 +57,6 @@ __all__ = [
     "mse",
     "gather",
     "embedding_lookup",
-    "detach",
 ]
 
 RMSNORM_EPS = 1e-6
@@ -205,10 +200,6 @@ class Tape:
 _TAPE = None
 
 
-def active_tape():
-    return _TAPE
-
-
 def _make(out_data, pairs):
     """Wrap op output; record on the active tape when gradients are needed."""
     out = Tensor.__new__(Tensor)
@@ -238,31 +229,6 @@ def backward(loss):
     if not isinstance(loss, Tensor) or loss.tape is None:
         raise StateError("loss is not attached to a tape; run it inside `with Tape():`")
     loss.tape.backward(loss)
-
-
-# ---------------------------------------------------------------------------
-# creation helpers
-
-def tensor(data, requires_grad=False, dtype=None):
-    return Tensor(data, requires_grad=requires_grad, dtype=dtype)
-
-
-def zeros(shape, requires_grad=False, dtype=np.float64):
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
-
-
-def ones(shape, requires_grad=False, dtype=np.float64):
-    return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad)
-
-
-def randn(rng, shape, scale=1.0, requires_grad=False, dtype=np.float64):
-    return Tensor(rng.standard_normal(shape) * scale, requires_grad=requires_grad, dtype=dtype)
-
-
-def detach(x):
-    """Constant copy; blocks gradient flow (stop-gradient)."""
-    x = _as_tensor(x)
-    return Tensor(x.data.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -818,6 +784,3 @@ class ParameterStore:
             if key in self._params:
                 raise StateError(f"duplicate parameter name {key!r}")
             self._params[key] = t
-
-    def state_arrays(self):
-        return {name: t.data for name, t in self.items()}

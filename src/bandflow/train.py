@@ -8,12 +8,13 @@ the seed, so repeated runs produce bitwise-identical checkpoints.
 from __future__ import annotations
 
 import csv
+import functools
 
 import numpy as np
 
 from . import tensor as tt
 from .errors import NumericError
-from .flow import FlowConfig, FlowSample, MLPEstimator, cfm_loss, euler_sample
+from .flow import FlowConfig, MLPEstimator, cfm_loss, euler_sample, make_flow_sample
 from .melody import MelodyBatch, MelodyModel, melody_loss, NoteSequence
 from .metrics import evaluate_pair, InvalidMetric, REPORT_COLUMNS
 from .models import AccompFlowModel, StylePredictorModel
@@ -22,10 +23,38 @@ from .optim import Adam
 from .synth import gen_flow2d, gen_melody_grammar, gen_style_toy, gen_toy_pairs, tag_transform
 from .tensor import Tape, Tensor, backward
 
+ROUTE_COLUMNS = ("group", "unit", "expert", "entropy", "tau", "t")
+
 
 def _check_finite(value, step):
     if not np.isfinite(value):
         raise NumericError(f"non-finite loss at step {step}")
+
+
+def fit(opt, steps, draws, skip=None):
+    """The training loop shared by every pipeline; returns per-step losses.
+
+    `draws(step)` yields zero-argument loss functions.  Each runs under its own
+    Tape and is backpropagated; their gradients accumulate into one
+    `opt.step` per step, and the step's loss is the mean of theirs.  The
+    generator is consumed lazily, so draws made inside a forward (routing
+    noise) stay interleaved with the data draws.  `skip(step)` may return a
+    parameter-name predicate to freeze on that step.
+    """
+    losses = []
+    for step in range(steps):
+        total, n = 0.0, 0
+        for build in draws(step):
+            with Tape():
+                loss = build()
+                _check_finite(loss.item(), step)
+                backward(loss)
+            total += loss.item()
+            n += 1
+        opt.step(skip=None if skip is None else skip(step))
+        opt.zero_grad()
+        losses.append(total / n)
+    return losses
 
 
 def write_csv(path, header, rows):
@@ -44,22 +73,16 @@ def train_flow2d(seed=0, steps=1500, batch=256, lr=2e-3, data_n=10000,
     data = gen_flow2d(seed, data_n)
     rng = np.random.default_rng(seed + 1)
     est = MLPEstimator(2, hidden, rng)
-    opt = Adam(est.params, lr=lr)
-    losses = []
-    for step in range(steps):
+
+    def draws(step):
         idx = rng.integers(len(data), size=batch)
         x1 = data[idx]
         x0 = rng.standard_normal((batch, 2))
         t = rng.integers(cfg.train_timesteps, size=batch) / cfg.train_timesteps
         xt = (1.0 - t)[:, None] * x0 + t[:, None] * x1
-        with Tape():
-            v = est(Tensor(xt), t)
-            loss = tt.mse(v, Tensor(x1 - x0))
-            _check_finite(loss.item(), step)
-            backward(loss)
-        opt.step()
-        opt.zero_grad()
-        losses.append(loss.item())
+        yield lambda: tt.mse(est(Tensor(xt), t), Tensor(x1 - x0))
+
+    losses = fit(Adam(est.params, lr=lr), steps, draws)
     return est, losses, cfg
 
 
@@ -93,28 +116,22 @@ def train_style_predictor(seed=0, steps=200, batch=4, lr=3e-3, n_samples=64,
     rng = np.random.default_rng(seed + 1)
     model = StylePredictorModel(rng, n_tags=n_tags, n_phonemes=8,
                                 channels=data[0].x1.shape[0])
-    opt = Adam(model.params, lr=lr)
-    losses = []
-    for step in range(steps):
+
+    def draws(step):
         samples, conds = [], []
         for _ in range(batch):
             s = data[int(rng.integers(len(data)))]
             tag = None if rng.uniform() < text_drop else s.tag
             vocal = rng.uniform() >= vocal_drop
-            samples.append(FlowSample(
-                x0=rng.standard_normal(s.x1.shape), x1=s.x1,
-                t=float(rng.integers(cfg.train_timesteps)) / cfg.train_timesteps))
+            samples.append(make_flow_sample(s.x1, rng, cfg))
             conds.append((s.phonemes, tag, vocal))
-        with Tape():
-            loss = cfm_loss(model, samples, conds)
-            _check_finite(loss.item(), step)
-            backward(loss)
-        if step < warmup_steps:
-            opt.step(skip=lambda name: name.startswith("wavenet"))
-        else:
-            opt.step()
-        opt.zero_grad()
-        losses.append(loss.item())
+        yield lambda: cfm_loss(model, samples, conds)
+
+    def frozen(name):
+        return name.startswith("wavenet")
+
+    losses = fit(Adam(model.params, lr=lr), steps, draws,
+                 skip=lambda step: frozen if step < warmup_steps else None)
     return model, losses, cfg
 
 
@@ -123,36 +140,30 @@ def train_style_predictor(seed=0, steps=200, batch=4, lr=3e-3, n_samples=64,
 
 def train_accomp(seed=0, steps=300, batch=4, lr=2e-3, n_pairs=96, n_tags=3,
                  T=64, data_dim=16, width=64, experts=4, blocks=2,
-                 holdout=16, flow_cfg=None, balance_form="switch"):
+                 holdout=16, flow_cfg=None):
     cfg = flow_cfg or FlowConfig(train_timesteps=1000)
     pairs = gen_toy_pairs(seed, n_pairs, n_tags, T=T, d=data_dim)
     train_pairs, held = pairs[:-holdout], pairs[-holdout:]
     rng = np.random.default_rng(seed + 1)
     model = AccompFlowModel(rng, n_tags, data_dim=data_dim, width=width,
-                            experts=experts, blocks=blocks, balance_form=balance_form)
-    opt = Adam(model.params, lr=lr)
-    losses = []
-    for step in range(steps):
+                            experts=experts, blocks=blocks)
+
+    def loss_with_balance(sample, cond):
+        loss = cfm_loss(model, [sample], [cond])
+        bal = model.balance()
+        return loss if bal is None else tt.add(loss, bal)
+
+    def draws(step):
+        # dense routing draws its Gumbel noise from `rng` during each forward
         tau = tau_schedule(step / max(1, steps - 1))
         model.state = RouterState(tau=tau, mode="dense", rng=rng)
-        total = None
         for _ in range(batch):
             pair = train_pairs[int(rng.integers(len(train_pairs)))]
             tag = None if rng.uniform() < cfg.cond_drop_prob else pair.tag
-            sample = FlowSample(
-                x0=rng.standard_normal(pair.a.shape), x1=pair.a,
-                t=float(rng.integers(cfg.train_timesteps)) / cfg.train_timesteps)
-            with Tape():
-                loss = cfm_loss(model, [sample], [(pair.v, tag)])
-                bal = model.balance()
-                if bal is not None:
-                    loss = tt.add(loss, bal)
-                _check_finite(loss.item(), step)
-                backward(loss)
-            total = loss.item() if total is None else total + loss.item()
-        opt.step()
-        opt.zero_grad()
-        losses.append(total / batch)
+            sample = make_flow_sample(pair.a, rng, cfg)
+            yield functools.partial(loss_with_balance, sample, (pair.v, tag))
+
+    losses = fit(Adam(model.params, lr=lr), steps, draws)
     return model, losses, cfg, (train_pairs, held)
 
 
@@ -164,27 +175,10 @@ def eval_accomp(model, held_pairs, n_tags, seed=0, gamma=1.0, infer_steps=25):
     corrs = []
     for pair in held_pairs:
         x0 = rng.standard_normal(pair.a.shape)
-        null_cond = (pair.v, None) if gamma != 1.0 else None
-        gen = euler_sample(model, x0, (pair.v, pair.tag), cfg, null_cond=null_cond)
+        gen = euler_sample(model, x0, (pair.v, pair.tag), cfg, null_cond=(pair.v, None))
         target = tag_transform(pair.v, pair.tag, n_tags)
         corrs.append(float(np.corrcoef(gen.data.ravel(), target.ravel())[0, 1]))
     return float(np.mean(corrs)), corrs
-
-
-def tag_consistency(model, held_pairs, n_tags, seed=0, gamma=1.0, infer_steps=25):
-    """Fraction of generations whose nearest tag-transform is the true tag."""
-    cfg = FlowConfig(infer_steps=infer_steps, cfg_scale=gamma)
-    rng = np.random.default_rng(seed)
-    model.state = RouterState(tau=TAU_LOW, mode="hard", rng=None)
-    hits = 0
-    for pair in held_pairs:
-        x0 = rng.standard_normal(pair.a.shape)
-        null_cond = (pair.v, None) if gamma != 1.0 else None
-        gen = euler_sample(model, x0, (pair.v, pair.tag), cfg, null_cond=null_cond).data
-        errs = [np.mean((gen - tag_transform(pair.v, k, n_tags)) ** 2)
-                for k in range(n_tags)]
-        hits += int(np.argmin(errs) == pair.tag)
-    return hits / len(held_pairs)
 
 
 def route_trace_rows(model, pair, t=0.5, tau=TAU_LOW, mode="hard"):
@@ -211,23 +205,18 @@ def train_melody(seed=0, steps=400, batch=8, lr=3e-3, n_songs=120, holdout=20,
     train_songs, held = songs[:-holdout], songs[-holdout:]
     rng = np.random.default_rng(seed + 1)
     model = MelodyModel(n_phonemes=7, n_tags=12, rng=rng, width=width, layers=layers)
-    opt = Adam(model.params, lr=lr)
-    losses = []
-    for step in range(steps):
-        with Tape():
-            loss = None
-            for _ in range(batch):
-                s = train_songs[int(rng.integers(len(train_songs)))]
-                mb = MelodyBatch(phonemes=s.phonemes, tag=s.tag, target=s.notes)
-                logits, durs = model.forward(mb)
-                term = tt.mul(melody_loss(logits, durs, s.notes), 1.0 / len(s.notes))
-                loss = term if loss is None else tt.add(loss, term)
-            loss = tt.mul(loss, 1.0 / batch)
-            _check_finite(loss.item(), step)
-            backward(loss)
-        opt.step()
-        opt.zero_grad()
-        losses.append(loss.item())
+
+    def batch_loss():
+        loss = None
+        for _ in range(batch):
+            s = train_songs[int(rng.integers(len(train_songs)))]
+            mb = MelodyBatch(phonemes=s.phonemes, tag=s.tag, target=s.notes)
+            logits, durs = model.forward(mb)
+            term = tt.mul(melody_loss(logits, durs, s.notes), 1.0 / len(s.notes))
+            loss = term if loss is None else tt.add(loss, term)
+        return tt.mul(loss, 1.0 / batch)
+
+    losses = fit(Adam(model.params, lr=lr), steps, lambda step: [batch_loss])
     return model, losses, (train_songs, held)
 
 

@@ -8,6 +8,7 @@ from bandflow.cli import Options, build_parser, cli_dispatch
 from bandflow.errors import ConfigError
 from bandflow.melody import NoteSequence, save_notes
 from bandflow.metrics import REPORT_COLUMNS
+from bandflow.train import ROUTE_COLUMNS
 
 
 def run(argv, capsys):
@@ -151,6 +152,20 @@ class TestTrainAndSample:
                               "--seed", "7", "--out", str(ck)], capsys)
             assert code == 0
         assert ck1.read_bytes() == ck2.read_bytes()
+
+    def test_accomp_trace_and_route_trace_share_header(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("steps=2\n")
+        ck = tmp_path / "a.vbnd"
+        code, _, _ = run(["train", "--model", "accomp", "--config", str(cfg),
+                          "--trace", "--out", str(ck)], capsys)
+        assert code == 0
+        route = tmp_path / "route.csv"
+        code, _, _ = run(["route-trace", "--config", str(cfg), "--out", str(route)], capsys)
+        assert code == 0
+        headers = [p.read_text().splitlines()[0]
+                   for p in (ck.with_suffix(".route.csv"), route)]
+        assert headers == [",".join(ROUTE_COLUMNS)] * 2
 
     def test_sample_missing_checkpoint_exits_two(self, tmp_path, capsys):
         code, _, err = run(["sample", "--ckpt", str(tmp_path / "none.vbnd")], capsys)

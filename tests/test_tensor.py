@@ -271,6 +271,11 @@ class TestParameterStore:
         assert store.names() == ["a", "b", "c"]
 
 
+def test_public_names_resolve():
+    missing = [name for name in tt.__all__ if not hasattr(tt, name)]
+    assert missing == []
+
+
 def test_broadcast_new_shape_rejected():
     with pytest.raises(DimensionError):
         tt.add(Tensor(np.zeros((3, 1))), Tensor(np.zeros((1, 4))))

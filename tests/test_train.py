@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
+import bandflow.tensor as tt
+
 from bandflow.checkpoint import load_checkpoint, load_into, save_checkpoint
 from bandflow.errors import NumericError
 from bandflow.flow import FlowConfig, FlowSample, cfm_loss
 from bandflow.models import StylePredictorModel
+from bandflow.optim import Adam
 from bandflow.synth import gen_style_toy
+from bandflow.tensor import ParameterStore
 from bandflow.train import (
+    fit,
     flow2d_mode_stats,
     melody_pitch_accuracy,
     random_melody_baseline,
@@ -18,6 +23,67 @@ from bandflow.train import (
     train_style_predictor,
     write_csv,
 )
+
+
+class _RecordingOpt:
+    """Stands in for Adam: records the gradient and skip predicate per step."""
+
+    def __init__(self, store):
+        self.store = store
+        self.steps = []
+
+    def step(self, skip=None):
+        self.steps.append((self.store["w"].grad.copy(), skip))
+
+    def zero_grad(self):
+        self.store.zero_grad()
+
+
+class TestFit:
+    def test_tapes_accumulate_into_one_step(self):
+        store = ParameterStore()
+        w = store.add("w", [1.0, -2.0])
+        opt = _RecordingOpt(store)
+
+        def draws(step):
+            yield lambda: tt.sum_(tt.mul(w, 2.0))     # grad 2
+            yield lambda: tt.sum_(tt.mul(w, w))       # grad 2w
+
+        losses = fit(opt, 2, draws)
+        assert len(opt.steps) == 2
+        np.testing.assert_array_equal(opt.steps[0][0], [4.0, -2.0])
+        assert losses == [((2.0 - 4.0) + (1.0 + 4.0)) / 2] * 2
+        np.testing.assert_array_equal(w.grad, [0.0, 0.0])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_names_step_and_skips_update(self):
+        store = ParameterStore()
+        w = store.add("w", [1.0])
+        opt = _RecordingOpt(store)
+
+        def draws(step):
+            scale = np.inf if step == 3 else 1.0
+            yield lambda: tt.sum_(tt.mul(w, 1.0))
+            yield lambda: tt.sum_(tt.mul(w, scale))
+
+        with pytest.raises(NumericError, match="step 3"):
+            fit(opt, 5, draws)
+        assert len(opt.steps) == 3
+
+    def test_skip_freezes_only_on_returned_steps(self):
+        def run(steps):
+            store = ParameterStore()
+            a = store.add("a", [1.0])
+            b = store.add("b", [1.0])
+            fit(Adam(store, lr=0.1), steps,
+                lambda step: [lambda: tt.sum_(tt.add(a, b))],
+                skip=lambda step: (lambda name: name == "a") if step == 0 else None)
+            return a.data[0], b.data[0]
+
+        a1, b1 = run(1)
+        assert a1 == 1.0 and b1 != 1.0
+        a2, b2 = run(2)
+        assert a2 != 1.0 and b2 < b1
 
 
 class TestFlow2dPipeline:
