@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensor as tt
 from .errors import ConfigError, DimensionError
-from .tensor import ParameterStore, Tensor
+from .tensor import ParameterStore
 
 ROPE_BASE = 10000.0
 
@@ -126,25 +126,25 @@ class GatedAttention:
         """[heads, T, head_dim] -> [T, d]."""
         return tt.reshape(tt.swapaxes(x, 0, 1), (x.shape[1], self.d))
 
-    def _query(self, h, positions):
-        return self._split(rope_rotate(tt.matmul(h, self.wq), positions, self.heads))
+    def _query(self, h):
+        return self._split(rope_rotate(tt.matmul(h, self.wq), heads=self.heads))
 
     def _cross(self, q, z_p):
         kz = self._split(tt.matmul(z_p, self.wkz))
         vz = self._split(tt.matmul(z_p, self.wvz))
         return tt.mul(sdp_attention(q, kz, vz), tt.tanh(self.alpha))
 
-    def __call__(self, h, z_p=None, positions=None):
-        q = self._query(h, positions)
-        k = self._split(rope_rotate(tt.matmul(h, self.wk), positions, self.heads))
+    def __call__(self, h, z_p=None):
+        q = self._query(h)
+        k = self._split(rope_rotate(tt.matmul(h, self.wk), heads=self.heads))
         out = sdp_attention(q, k, self._split(tt.matmul(h, self.wv)))
         if z_p is not None:
             out = tt.add(out, self._cross(q, z_p))
         return tt.matmul(self._merge(out), self.wo)
 
-    def cross_branch(self, h, z_p, positions=None):
+    def cross_branch(self, h, z_p):
         """The gated cross-attention contribution alone (for inspection)."""
-        return self._merge(self._cross(self._query(h, positions), z_p))
+        return self._merge(self._cross(self._query(h), z_p))
 
 
 class FeedForward:
@@ -186,8 +186,7 @@ class BandBlock:
     so the block is an exact identity before training.
     """
 
-    def __init__(self, d, heads, rng, params: ParameterStore, prefix,
-                 ffn_hidden=None, moe=None):
+    def __init__(self, d, heads, rng, params: ParameterStore, prefix, moe=None):
         self.d = d
         self.attn = GatedAttention(d, heads, rng, params, f"{prefix}.attn")
         self.norm_gain = params.add(f"{prefix}.norm_gain", np.ones(d))
@@ -197,13 +196,13 @@ class BandBlock:
         self.w_shift = params.add(f"{prefix}.ada_shift", np.zeros((d, d)))
         self.moe = moe
         if moe is None:
-            self.ffn = FeedForward(d, ffn_hidden or 4 * d, rng, params, f"{prefix}.ffn")
+            self.ffn = FeedForward(d, 4 * d, rng, params, f"{prefix}.ffn")
         else:
             self.ffn = None
 
-    def __call__(self, h, z_p, z_g, positions=None, moe_ctx=None):
+    def __call__(self, h, z_p, z_g, moe_ctx=None):
         """h: [T, d]; z_p: [P, d] or None; z_g: [1, d] global style."""
-        a = tt.add(h, self.attn(tt.rmsnorm(h, self.norm_gain), z_p, positions))
+        a = tt.add(h, self.attn(tt.rmsnorm(h, self.norm_gain), z_p))
         scale = tt.reshape(tt.matmul(z_g, self.w_scale), (self.d,))
         shift = tt.reshape(tt.matmul(z_g, self.w_shift), (self.d,))
         mod = tt.adaln(a, scale, shift)

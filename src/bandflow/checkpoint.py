@@ -7,6 +7,7 @@ float32 little-endian row-major.  Round trips are value-exact at f32.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -39,29 +40,55 @@ def save_checkpoint(params, path) -> None:
 
 
 def load_checkpoint(path) -> dict:
-    """Read a checkpoint into a name -> float64 ndarray dict."""
+    """Read a checkpoint into a name -> float64 ndarray dict.
+
+    A blob that is cut short, carries bytes past its last tensor, holds a
+    name that is not UTF-8 or extents numpy cannot represent raises
+    DataError.
+    """
     with open(path, "rb") as f:
         blob = f.read()
+    off = 0
+
+    def take(n, what):
+        nonlocal off
+        if n > len(blob) - off:
+            raise DataError(f"{path}: truncated {what} at byte {off}: "
+                            f"needs {n} bytes, {len(blob) - off} left")
+        off += n
+        return off - n
+
+    def unpack(fmt, what):
+        return struct.unpack_from(fmt, blob, take(struct.calcsize(fmt), what))
+
     if blob[:4] != MAGIC:
         raise DataError(f"{path}: bad magic {blob[:4]!r}")
-    version, count = struct.unpack_from("<II", blob, 4)
+    take(4, "magic")
+    version, count = unpack("<II", "header")
     if version != VERSION:
         raise DataError(f"{path}: unsupported version {version}")
-    off = 12
     out = {}
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        name = blob[off:off + nlen].decode("utf-8")
-        off += nlen
-        (rank,) = struct.unpack_from("<B", blob, off)
-        off += 1
-        shape = struct.unpack_from(f"<{rank}I", blob, off) if rank else ()
-        off += 4 * rank
-        n = int(np.prod(shape)) if rank else 1
-        arr = np.frombuffer(blob, dtype="<f4", count=n, offset=off).reshape(shape)
-        off += 4 * n
+        (nlen,) = unpack("<H", "name length")
+        start = take(nlen, "name")
+        try:
+            name = blob[start:off].decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: tensor name at byte {start} is not UTF-8") from None
+        (rank,) = unpack("<B", f"rank of {name!r}")
+        shape = unpack(f"<{rank}I", f"extents of {name!r}")
+        n = math.prod(shape)
+        start = take(4 * n, f"payload of {name!r}")
+        arr = np.frombuffer(blob, dtype="<f4", count=n, offset=start)
+        try:
+            arr = arr.reshape(shape)
+        except ValueError:
+            # a zero extent empties the payload, but numpy still refuses
+            # shapes whose other extents overflow its size limit
+            raise DataError(f"{path}: extents {shape} of {name!r} are too large") from None
         out[name] = arr.astype(np.float64)
+    if off != len(blob):
+        raise DataError(f"{path}: {len(blob) - off} trailing bytes after {count} tensors")
     return out
 
 

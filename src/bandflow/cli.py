@@ -8,17 +8,15 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import train as tr
 from .checkpoint import load_into, save_checkpoint
-from .errors import BandflowError, ConfigError
-from .flow import FlowConfig, MLPEstimator
+from .errors import BandflowError, ConfigError, DataError
+from .flow import MLPEstimator
 from .gradcheck import gradcheck_all
 from .melody import load_notes, save_notes
 from .metrics import REPORT_COLUMNS, evaluate_pair, f0_frame_error, InvalidMetric
@@ -231,35 +229,18 @@ def _note_files(path):
     return [p]
 
 
-def _thread_count():
-    """Worker threads for eval-melody: VBND_THREADS, an integer >= 1 (default 4)."""
-    text = os.environ.get("VBND_THREADS", "4")
-    try:
-        workers = int(text)
-    except ValueError:
-        raise ConfigError(f"VBND_THREADS must be an integer >= 1, got {text!r}") from None
-    if workers < 1:
-        raise ConfigError(f"VBND_THREADS must be an integer >= 1, got {text!r}")
-    return workers
-
-
 def _cmd_eval_melody(args):
-    workers = _thread_count()
     gen_files = _note_files(args.generated)
     ref_files = _note_files(args.reference)
     if len(gen_files) != len(ref_files):
         raise BandflowError(
             f"{len(gen_files)} generated vs {len(ref_files)} reference songs")
-
-    def one(pair):
-        g, r = pair
+    rows = []
+    for g, r in zip(gen_files, ref_files):
         try:
-            return evaluate_pair(load_notes(g), load_notes(r)).row()
+            rows.append(evaluate_pair(load_notes(g), load_notes(r)).row())
         except InvalidMetric:
-            return None
-
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        rows = [r for r in ex.map(one, zip(gen_files, ref_files)) if r is not None]
+            pass
     if not rows:
         raise BandflowError("no valid song pairs")
     summary = np.asarray(rows).mean(axis=0).tolist()
@@ -275,7 +256,13 @@ def _cmd_eval_melody(args):
 
 
 def _read_f0(path):
-    track = np.loadtxt(path, delimiter=",", ndmin=2)
+    """The second column of a numeric CSV: F0 per frame, 0 when unvoiced."""
+    try:
+        track = np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as e:
+        raise DataError(f"{path}: not a numeric CSV: {e}") from None
+    if track.shape[1] < 2:
+        raise DataError(f"{path}: expected at least 2 columns, got {track.shape[1]}")
     return track[:, 1]
 
 

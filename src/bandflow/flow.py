@@ -18,6 +18,7 @@ from .errors import ConfigError, DimensionError, NumericError
 from .tensor import ParameterStore, Tensor
 
 TIME_EMBED_DIM = 128
+WAVENET_KERNEL = 3
 
 
 @dataclass
@@ -53,14 +54,13 @@ class FlowSample:
         self.u = self.x1 - self.x0
 
 
-def make_flow_sample(x1, rng, cfg: FlowConfig, x0=None, t=None) -> FlowSample:
+def make_flow_sample(x1, rng, cfg: FlowConfig, t=None) -> FlowSample:
     """Draw one training point on the straight noise-to-data path."""
     x1 = np.asarray(x1, dtype=np.float64)
-    if x0 is None:
-        x0 = rng.standard_normal(x1.shape)
+    x0 = rng.standard_normal(x1.shape)
     if t is None:
         t = float(rng.integers(cfg.train_timesteps)) / cfg.train_timesteps
-    return FlowSample(x0=np.asarray(x0, dtype=np.float64), x1=x1, t=float(t))
+    return FlowSample(x0=x0, x1=x1, t=float(t))
 
 
 def cfg_field(v_cond, v_uncond, gamma):
@@ -119,28 +119,27 @@ def noisy_prompt_start(prompt, rng, t_start=0.5):
 # ---------------------------------------------------------------------------
 # time embedding
 
-def sinusoidal_embedding(t, dim=TIME_EMBED_DIM):
+def sinusoidal_embedding(t):
     """Classic sin/cos features of scalar times; t is a float or 1-D array."""
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    ang = t[:, None] * sinusoid_ladder(dim)[None, :]
+    ang = t[:, None] * sinusoid_ladder(TIME_EMBED_DIM)[None, :]
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
 
 
 class TimeEmbedding:
     """Sinusoidal features followed by a 2-layer projection."""
 
-    def __init__(self, out_dim, rng, params: ParameterStore, prefix="time_embed",
-                 sin_dim=TIME_EMBED_DIM):
-        self.sin_dim = sin_dim
-        s1 = 1.0 / np.sqrt(sin_dim)
+    def __init__(self, out_dim, rng, params: ParameterStore, prefix):
+        s1 = 1.0 / np.sqrt(TIME_EMBED_DIM)
         s2 = 1.0 / np.sqrt(out_dim)
-        self.w1 = params.add(f"{prefix}.w1", rng.standard_normal((sin_dim, out_dim)) * s1)
+        self.w1 = params.add(f"{prefix}.w1",
+                             rng.standard_normal((TIME_EMBED_DIM, out_dim)) * s1)
         self.b1 = params.add(f"{prefix}.b1", np.zeros(out_dim))
         self.w2 = params.add(f"{prefix}.w2", rng.standard_normal((out_dim, out_dim)) * s2)
         self.b2 = params.add(f"{prefix}.b2", np.zeros(out_dim))
 
     def __call__(self, t):
-        feats = Tensor(sinusoidal_embedding(t, self.sin_dim))
+        feats = Tensor(sinusoidal_embedding(t))
         h = tt.silu(tt.add(tt.matmul(feats, self.w1), self.b1))
         return tt.add(tt.matmul(h, self.w2), self.b2)
 
@@ -149,15 +148,14 @@ class TimeEmbedding:
 # estimators
 
 class MLPEstimator:
-    """Small MLP field estimator for low-dimensional batched data [B, D]."""
+    """Small unconditioned MLP field estimator for low-dimensional batched
+    data [B, D]: two hidden layers over the input and its time features."""
 
-    def __init__(self, dim, hidden, rng, cond_dim=0, n_hidden=2):
+    def __init__(self, dim, hidden, rng):
         self.dim = dim
-        self.cond_dim = cond_dim
         self.params = ParameterStore()
         self.time = TimeEmbedding(hidden, rng, self.params, prefix="mlp.time")
-        in_dim = dim + hidden + cond_dim
-        sizes = [in_dim] + [hidden] * n_hidden
+        sizes = [dim + hidden, hidden, hidden]
         self._layers = []
         for i, (a, b) in enumerate(zip(sizes[:-1], sizes[1:])):
             w = self.params.add(f"mlp.w{i}", rng.standard_normal((a, b)) / np.sqrt(a))
@@ -168,21 +166,12 @@ class MLPEstimator:
         self.b_out = self.params.add("mlp.b_out", np.zeros(dim))
 
     def __call__(self, xt, t, cond=None):
+        """`cond` completes the estimator contract and is ignored."""
         squeeze = xt.ndim == 1
         x = tt.reshape(xt, (1, self.dim)) if squeeze else xt
         n = x.shape[0]
         temb = self.time(np.full(n, float(t)) if np.isscalar(t) else t)
-        parts = [x, temb]
-        if self.cond_dim:
-            if cond is None:
-                raise DimensionError("estimator built with cond_dim > 0 requires a condition")
-            c = cond if isinstance(cond, Tensor) else Tensor(cond)
-            if c.ndim == 1:
-                c = tt.reshape(c, (1, self.cond_dim))
-            if c.shape[0] == 1 and n > 1:
-                c = tt.gather(c, np.zeros(n, dtype=np.int64))
-            parts.append(c)
-        h = tt.concat(parts, axis=1)
+        h = tt.concat([x, temb], axis=1)
         for w, b in self._layers:
             h = tt.silu(tt.add(tt.matmul(h, w), b))
         out = tt.add(tt.matmul(h, self.w_out), self.b_out)
@@ -197,16 +186,11 @@ class WaveNetEstimator:
     is zero-initialized so the field starts at zero.
     """
 
-    def __init__(self, x_channels, cond_channels, rng, residual_channels=32,
-                 layers=4, kernel=3, dilation_base=2):
-        if kernel % 2 == 0:
-            raise ConfigError("kernel width must be odd")
+    def __init__(self, x_channels, cond_channels, rng, residual_channels=32, layers=4):
         self.x_channels = x_channels
         self.cond_channels = cond_channels
         self.residual_channels = residual_channels
-        self.n_layers = layers
-        self.kernel = kernel
-        self.dilations = [dilation_base ** i for i in range(layers)]
+        self.dilations = [2 ** i for i in range(layers)]
         self.params = ParameterStore()
         p = self.params
         r = residual_channels
@@ -216,7 +200,8 @@ class WaveNetEstimator:
         for i in range(layers):
             blk = {
                 "conv": p.add(f"wavenet.l{i}.conv",
-                              rng.standard_normal((2 * r, r, kernel)) / np.sqrt(r * kernel)),
+                              rng.standard_normal((2 * r, r, WAVENET_KERNEL))
+                              / np.sqrt(r * WAVENET_KERNEL)),
                 "conv_b": p.add(f"wavenet.l{i}.conv_b", np.zeros(2 * r)),
                 "cond": p.add(f"wavenet.l{i}.cond",
                               rng.standard_normal((2 * r, cond_channels)) / np.sqrt(cond_channels)),

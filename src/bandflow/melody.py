@@ -1,14 +1,14 @@
 """Non-autoregressive note model and duration utilities.
 
-Maps phoneme ids plus a style tag (and an optional timbre vector) to
-per-position note-pitch logits and positive durations, one note per
-phoneme.  Also houses the NoteSequence line format and the length
-regulator shared with the frame-level models.
+Maps phoneme ids plus a style tag to per-position note-pitch logits and
+positive durations, one note per phoneme.  Also houses the NoteSequence
+line format and the length regulator shared with the frame-level models.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,13 +18,14 @@ from .errors import BoundsError, DataError, DimensionError
 from .tensor import ParameterStore, Tensor
 
 REST = -1
+MELODY_TAG_TOKENS = 2   # prompt tokens per style tag
 
 
 @dataclass
 class NoteSequence:
     pitches: list        # MIDI ints in [0, 127], or REST
-    durations: list      # beats, > 0
-    tempo: float = None  # beats per minute
+    durations: list      # beats, finite and > 0
+    tempo: float = None  # beats per minute, finite and > 0
 
     def __post_init__(self):
         if len(self.pitches) != len(self.durations):
@@ -34,8 +35,10 @@ class NoteSequence:
             if p != REST and not 0 <= p <= 127:
                 raise DataError(f"pitch {p} outside [0, 127]")
         for d in self.durations:
-            if d <= 0:
-                raise DataError(f"duration {d} must be positive")
+            if not (d > 0 and math.isfinite(d)):
+                raise DataError(f"duration {d} must be positive and finite")
+        if self.tempo is not None and not (self.tempo > 0 and math.isfinite(self.tempo)):
+            raise DataError(f"tempo {self.tempo} must be positive and finite")
 
     def __len__(self):
         return len(self.pitches)
@@ -60,19 +63,32 @@ def save_notes(notes: NoteSequence, path):
 
 
 def load_notes(path) -> NoteSequence:
+    """Read the save_notes format; bad input raises DataError naming the file,
+    and the line for a line that does not parse."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = list(f)
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
     pitches, durations, tempo = [], [], None
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
             if line.startswith("tempo="):
-                tempo = float(line.split("=", 1)[1])
+                tempo = float(line[len("tempo="):])
                 continue
             p, d = line.split(",")
             pitches.append(REST if p == "R" else int(p))
             durations.append(float(d))
-    return NoteSequence(pitches=pitches, durations=durations, tempo=tempo)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: malformed line {line!r}; "
+                            "expected 'pitch,duration' or 'tempo=bpm'") from None
+    try:
+        return NoteSequence(pitches=pitches, durations=durations, tempo=tempo)
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from None
 
 
 def length_regulate(features, durations):
@@ -115,7 +131,6 @@ class MelodyBatch:
     phonemes: np.ndarray           # [N] int ids
     tag: int                       # style-tag id
     target: NoteSequence
-    timbre: np.ndarray = None      # optional [d_timbre]
 
     def __post_init__(self):
         if len(self.phonemes) != len(self.target):
@@ -125,25 +140,17 @@ class MelodyBatch:
 class MelodyModel:
     """Small transformer with cross-attention into style-tag tokens."""
 
-    def __init__(self, n_phonemes, n_tags, rng, n_pitches=128, width=64,
-                 layers=2, timbre_dim=0, tag_tokens=2, ffn_hidden=None):
+    def __init__(self, n_phonemes, n_tags, rng, n_pitches=128, width=64, layers=2):
         self.n_phonemes = n_phonemes
         self.n_tags = n_tags
-        self.n_pitches = n_pitches
         self.width = width
-        self.n_layers = layers
-        self.timbre_dim = timbre_dim
-        self.tag_tokens = tag_tokens
         self.params = ParameterStore()
         p = self.params
         d = width
         self.phoneme_emb = p.add("melody.phoneme_emb",
                                  rng.standard_normal((n_phonemes, d)) * 0.5)
         self.tag_emb = p.add("melody.tag_emb",
-                             rng.standard_normal((n_tags, tag_tokens * d)) * 0.5)
-        if timbre_dim:
-            self.w_timbre = p.add("melody.w_timbre",
-                                  rng.standard_normal((timbre_dim, d)) / np.sqrt(timbre_dim))
+                             rng.standard_normal((n_tags, MELODY_TAG_TOKENS * d)) * 0.5)
         self._layers = []
         for i in range(layers):
             s = 1.0 / np.sqrt(d)
@@ -155,7 +162,7 @@ class MelodyModel:
                 "wk": p.add(f"melody.l{i}.wk", rng.standard_normal((d, d)) * s),
                 "wv": p.add(f"melody.l{i}.wv", rng.standard_normal((d, d)) * s),
                 "wqx": p.add(f"melody.l{i}.wqx", rng.standard_normal((d, d)) * s),
-                "ffn": FeedForward(d, ffn_hidden or 2 * d, rng, p, f"melody.l{i}.ffn"),
+                "ffn": FeedForward(d, 2 * d, rng, p, f"melody.l{i}.ffn"),
             }
             self._layers.append(layer)
         self.w_pitch = p.add("melody.w_pitch", rng.standard_normal((d, n_pitches)) / np.sqrt(d))
@@ -174,13 +181,8 @@ class MelodyModel:
         d = self.width
         h = tt.embedding_lookup(self.phoneme_emb, ids)
         h = tt.add(h, positional_encoding(n, d))
-        if self.timbre_dim:
-            if batch.timbre is None:
-                raise DimensionError("model built with timbre_dim > 0 needs a timbre vector")
-            tv = tt.matmul(tt.reshape(Tensor(batch.timbre), (1, self.timbre_dim)), self.w_timbre)
-            h = tt.add(h, tv)
         tag_row = tt.gather(self.tag_emb, np.array([batch.tag]))
-        z_p = tt.reshape(tag_row, (self.tag_tokens, d))
+        z_p = tt.reshape(tag_row, (MELODY_TAG_TOKENS, d))
         for layer in self._layers:
             hn = tt.rmsnorm(h, layer["gain1"])
             h = tt.add(h, sdp_attention(tt.matmul(hn, layer["wq"]),

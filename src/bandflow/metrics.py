@@ -18,7 +18,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import BandflowError, ConfigError, DataError, DimensionError
-from .melody import REST, NoteSequence
+from .melody import NoteSequence
 
 PITCH_BINS = 128
 DURATION_BINS = 32
@@ -61,14 +61,10 @@ class KeyProfileTable:
                 raise DataError(f"{mode} profile must have 12 entries")
 
     @classmethod
-    def load(cls, path=None):
-        if path is None:
-            text = resources.files("bandflow").joinpath("data/key_profiles.csv").read_text()
-            lines = text.splitlines()
-        else:
-            with open(path, encoding="utf-8") as f:
-                lines = f.read().splitlines()
-        rows = [r for r in csv.reader(lines) if r and not r[0].startswith("#")]
+    def load(cls):
+        """The packaged profile table, data/key_profiles.csv."""
+        text = resources.files("bandflow").joinpath("data/key_profiles.csv").read_text()
+        rows = [r for r in csv.reader(text.splitlines()) if r and not r[0].startswith("#")]
         table = {}
         for row in rows:
             if row[0] == "mode":
@@ -105,32 +101,29 @@ def pitch_class_histogram(notes: NoteSequence):
     return hist
 
 
-def key_correlation(notes: NoteSequence, key, table: KeyProfileTable = None):
+def key_correlation(notes: NoteSequence, key):
     """Pearson correlation of the duration-weighted pitch-class histogram
     with the key's reference profile."""
-    table = table or _default_table()
     tonic, mode = parse_key(key)
     hist = pitch_class_histogram(notes)
     if hist.std() == 0:
         raise InvalidMetric("constant pitch-class histogram; correlation undefined")
-    prof = table.profile(tonic, mode)
+    prof = _default_table().profile(tonic, mode)
     return float(np.corrcoef(hist, prof)[0, 1])
 
 
-def best_key(notes: NoteSequence, table: KeyProfileTable = None):
+def best_key(notes: NoteSequence):
     """Most correlated of the 24 keys."""
-    table = table or _default_table()
-    scored = [(key_correlation(notes, k, table), k) for k in table.keys()]
+    scored = [(key_correlation(notes, k), k) for k in _default_table().keys()]
     return max(scored)[1]
 
 
-def key_accuracy(gen: NoteSequence, gt: NoteSequence, gt_key, table=None):
+def key_accuracy(gen: NoteSequence, gt: NoteSequence, gt_key):
     """Ratio of the generated correlation to the ground-truth correlation."""
-    table = table or _default_table()
-    r = key_correlation(gt, gt_key, table)
+    r = key_correlation(gt, gt_key)
     if r == 0:
         raise InvalidMetric("ground-truth key correlation is zero")
-    r_hat = key_correlation(gen, gt_key, table)
+    r_hat = key_correlation(gen, gt_key)
     return r_hat / r
 
 
@@ -239,12 +232,11 @@ def f0_frame_error(gen, gt, deviation=F0_DEVIATION):
     return float((voicing_err | pitch_err).mean())
 
 
-def evaluate_pair(gen: NoteSequence, gt: NoteSequence, gt_key=None, table=None):
+def evaluate_pair(gen: NoteSequence, gt: NoteSequence, gt_key=None):
     """Single-pair MelodyReport; gt_key defaults to the estimated key of gt."""
-    table = table or _default_table()
     if gt_key is None:
-        gt_key = best_key(gt, table)
-    ka = key_accuracy(gen, gt, gt_key, table)
+        gt_key = best_key(gt)
+    ka = key_accuracy(gen, gt, gt_key)
     apd, td = apd_td(gen, gt)
     pd_val, dd_val = dist_similarity([gen], [gt])
     md = melody_distance(gen, gt)

@@ -11,6 +11,13 @@ from .flow import TimeEmbedding, WaveNetEstimator
 from .moe import BandMoE, PlainBandFFN, RouterState
 from .tensor import ParameterStore, Tensor
 
+ACCOMP_TAG_TOKENS = 2          # prompt tokens per style tag
+STYLE_EMBED = 16               # style predictor: content and prompt token width
+STYLE_TAG_TOKENS = 4           # prompt tokens per style tag
+STYLE_ALIGN_LAYERS = 2         # style-alignment attention layers
+STYLE_RESIDUAL_CHANNELS = 24   # WaveNet estimator width
+STYLE_WAVENET_LAYERS = 3
+
 
 class AccompFlowModel:
     """Transformer field estimator for the accompaniment toy task.
@@ -22,12 +29,9 @@ class AccompFlowModel:
     (xt [T, data_dim], t, cond=(v [T, data_dim], tag_id or None)).
     """
 
-    def __init__(self, rng, n_tags, data_dim=16, width=64, heads=4, blocks=2,
-                 experts=4, tag_tokens=2):
+    def __init__(self, rng, n_tags, data_dim=16, width=64, heads=4, blocks=2, experts=4):
         self.n_tags = n_tags
-        self.data_dim = data_dim
         self.width = width
-        self.tag_tokens = tag_tokens
         self.params = ParameterStore()
         p = self.params
         self.time = TimeEmbedding(width, rng, p, prefix="accomp.time")
@@ -37,12 +41,11 @@ class AccompFlowModel:
                          rng.standard_normal((data_dim, width)) / np.sqrt(data_dim))
         # +1 row: the learned null condition
         self.tag_emb = p.add("accomp.tag_emb",
-                             rng.standard_normal((n_tags + 1, tag_tokens * width)) * 0.3)
+                             rng.standard_normal((n_tags + 1, ACCOMP_TAG_TOKENS * width)) * 0.3)
         self.moes = []
         self.blocks = []
         for i in range(blocks):
-            moe = BandMoE(width, experts, rng, p, f"accomp.b{i}.moe",
-                          time_dim=width)
+            moe = BandMoE(width, experts, rng, p, f"accomp.b{i}.moe")
             self.moes.append(moe)
             self.blocks.append(BandBlock(width, heads, rng, p, f"accomp.b{i}", moe=moe))
         self.w_out = p.add("accomp.w_out", np.zeros((width, data_dim)))
@@ -52,7 +55,7 @@ class AccompFlowModel:
         """Prompt tokens for a tag id; None selects the null condition row."""
         idx = self.n_tags if tag is None else int(tag)
         row = tt.gather(self.tag_emb, np.array([idx]))
-        return tt.reshape(row, (self.tag_tokens, self.width))
+        return tt.reshape(row, (ACCOMP_TAG_TOKENS, self.width))
 
     def __call__(self, xt, t, cond):
         v, tag = cond
@@ -97,25 +100,21 @@ class StylePredictorModel:
     to the content stream (its index 0 row is the dropped-prompt state).
     """
 
-    def __init__(self, rng, n_tags, n_phonemes, channels=8, embed=16,
-                 tag_tokens=4, align_layers=2, residual_channels=24, layers=3):
+    def __init__(self, rng, n_tags, n_phonemes, channels=8):
         self.n_tags = n_tags
-        self.n_phonemes = n_phonemes
-        self.channels = channels
-        self.embed = embed
-        self.tag_tokens = tag_tokens
-        self.align_layers = align_layers
         self.params = ParameterStore()
         p = self.params
+        e = STYLE_EMBED
         self.phoneme_emb = p.add("cond.phoneme_emb",
-                                 rng.standard_normal((n_phonemes, embed)) * 0.5)
+                                 rng.standard_normal((n_phonemes, e)) * 0.5)
         # +1 row: null condition (dropped text prompt)
         self.tag_emb = p.add("cond.tag_emb",
-                             rng.standard_normal((n_tags + 1, tag_tokens * embed)) * 0.5)
+                             rng.standard_normal((n_tags + 1, STYLE_TAG_TOKENS * e)) * 0.5)
         # row 0: dropped vocal prompt, row 1: vocal prompt present
-        self.vocal_emb = p.add("cond.vocal_emb", rng.standard_normal((2, embed)) * 0.5)
-        self.wavenet = WaveNetEstimator(channels, 2 * embed, rng,
-                                        residual_channels=residual_channels, layers=layers)
+        self.vocal_emb = p.add("cond.vocal_emb", rng.standard_normal((2, e)) * 0.5)
+        self.wavenet = WaveNetEstimator(channels, 2 * e, rng,
+                                        residual_channels=STYLE_RESIDUAL_CHANNELS,
+                                        layers=STYLE_WAVENET_LAYERS)
         self.params.merge(self.wavenet.params)
 
     def condition(self, phonemes, tag, vocal_prompt=True):
@@ -124,9 +123,9 @@ class StylePredictorModel:
         z_ct = tt.add(z_ct, tt.gather(self.vocal_emb, np.array([1 if vocal_prompt else 0])))
         idx = self.n_tags if tag is None else int(tag)
         z_p = tt.reshape(tt.gather(self.tag_emb, np.array([idx])),
-                         (self.tag_tokens, self.embed))
-        fused = style_alignment_stack(z_ct, z_p, self.align_layers)   # [P, 2*embed]
-        return tt.swapaxes(fused, 0, 1)                               # [2*embed, P]
+                         (STYLE_TAG_TOKENS, STYLE_EMBED))
+        fused = style_alignment_stack(z_ct, z_p, STYLE_ALIGN_LAYERS)   # [P, 2*embed]
+        return tt.swapaxes(fused, 0, 1)                                # [2*embed, P]
 
     def __call__(self, xt, t, cond):
         phonemes, tag, vocal_prompt = cond

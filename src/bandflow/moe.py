@@ -42,10 +42,11 @@ class RouterState:
             raise ConfigError(f"unknown router mode {self.mode!r}")
 
 
-def gumbel_gate(logits, tau, rng=None, mode="dense", noise=None):
+def gumbel_gate(logits, tau, rng=None, mode="dense"):
     """Per-row gate weights over experts from routing logits [n, N].
 
-    Dense mode: softmax((logits + gumbel_noise) / tau), differentiable.
+    Dense mode: softmax((logits + gumbel_noise) / tau), differentiable; the
+    noise is drawn from `rng`, or zero when `rng` is None.
     Hard mode: noise-free one-hot argmax of the logits.
     """
     if tau <= 0:
@@ -57,12 +58,11 @@ def gumbel_gate(logits, tau, rng=None, mode="dense", noise=None):
         return Tensor(hard)
     if mode != "dense":
         raise ConfigError(f"unknown router mode {mode!r}")
-    if noise is None:
-        if rng is None:
-            noise = np.zeros(logits.shape)
-        else:
-            u = rng.uniform(low=np.finfo(float).tiny, high=1.0, size=logits.shape)
-            noise = -np.log(-np.log(u))
+    if rng is None:
+        noise = np.zeros(logits.shape)
+    else:
+        u = rng.uniform(low=np.finfo(float).tiny, high=1.0, size=logits.shape)
+        noise = -np.log(-np.log(u))
     return tt.softmax(tt.mul(tt.add(logits, noise), 1.0 / tau), axis=-1)
 
 
@@ -93,15 +93,14 @@ def balance_loss(gates, alpha=BALANCE_ALPHA, form="switch"):
 
 
 class ExpertGroup:
-    """Shared-width position-wise feed-forward experts."""
+    """Shared-width position-wise feed-forward experts (hidden width 2d)."""
 
-    def __init__(self, d, n_experts, rng, params: ParameterStore, prefix, hidden=None):
+    def __init__(self, d, n_experts, rng, params: ParameterStore, prefix):
         if n_experts < 1:
             raise ConfigError("need at least one expert")
         self.d = d
-        self.n = n_experts
         self.experts = [
-            FeedForward(d, hidden or 2 * d, rng, params, f"{prefix}.expert{i}")
+            FeedForward(d, 2 * d, rng, params, f"{prefix}.expert{i}")
             for i in range(n_experts)
         ]
 
@@ -123,24 +122,24 @@ class ExpertGroup:
 
 
 class BandMoE:
-    """The full three-group expert layer plus global gate (one block's slot)."""
+    """The full three-group expert layer plus global gate (one block's slot).
 
-    def __init__(self, d, n_experts, rng, params: ParameterStore, prefix,
-                 time_dim=None, hidden=None):
-        self.d = d
+    The time embedding that drives the global gate has the model width d.
+    """
+
+    def __init__(self, d, n_experts, rng, params: ParameterStore, prefix):
         self.n = n_experts
-        time_dim = time_dim or d
         p = params
-        self.aligned = ExpertGroup(d, n_experts, rng, p, f"{prefix}.aligned", hidden)
-        self.controlled = ExpertGroup(d, n_experts, rng, p, f"{prefix}.controlled", hidden)
-        self.acoustic = ExpertGroup(d, n_experts, rng, p, f"{prefix}.acoustic", hidden)
+        self.aligned = ExpertGroup(d, n_experts, rng, p, f"{prefix}.aligned")
+        self.controlled = ExpertGroup(d, n_experts, rng, p, f"{prefix}.controlled")
+        self.acoustic = ExpertGroup(d, n_experts, rng, p, f"{prefix}.acoustic")
         s = 1.0 / np.sqrt(d)
         self.w_aligned = p.add(f"{prefix}.w_aligned", rng.standard_normal((d, n_experts)) * s)
         self.w_controlled = p.add(f"{prefix}.w_controlled", rng.standard_normal((d, n_experts)) * s)
         # channel router sees (mean, var) over time for each channel
         self.w_acoustic = p.add(f"{prefix}.w_acoustic", rng.standard_normal((2, n_experts)))
         self.w_global = p.add(f"{prefix}.w_global",
-                              rng.standard_normal((time_dim, 2)) / np.sqrt(time_dim))
+                              rng.standard_normal((d, 2)) / np.sqrt(d))
         self.last_gates = {}
 
     # -- individual routing stages -----------------------------------------

@@ -48,6 +48,7 @@ class RQCodebook:
 class StyleCode:
     indices: np.ndarray    # [depth, P]
     prefixes: np.ndarray   # [depth, P, dim] cumulative reconstructions
+    residuals: np.ndarray  # [depth, P, dim] what each depth quantized
 
     @property
     def embedding(self):
@@ -81,6 +82,7 @@ def rq_encode(z_e, book: RQCodebook) -> StyleCode:
     residual = z.copy()
     indices = np.zeros((book.depth, z.shape[0]), dtype=np.int64)
     prefixes = np.zeros((book.depth,) + z.shape)
+    residuals = np.zeros((book.depth,) + z.shape)
     acc = np.zeros_like(z)
     for n in range(book.depth):
         codes = book.codes[n]                                   # [K, dim]
@@ -88,10 +90,11 @@ def rq_encode(z_e, book: RQCodebook) -> StyleCode:
         pick = d2.argmin(axis=1)
         chosen = codes[pick]
         indices[n] = pick
+        residuals[n] = residual
         acc = acc + chosen
         prefixes[n] = acc
         residual = residual - chosen
-    return StyleCode(indices=indices, prefixes=prefixes)
+    return StyleCode(indices=indices, prefixes=prefixes, residuals=residuals)
 
 
 def rq_decode(indices, book: RQCodebook):
@@ -124,18 +127,17 @@ def commit_loss(z_e, book: RQCodebook):
 def codebook_update(book: RQCodebook, z_e, decay=EMA_DECAY):
     """EMA-update codes toward the mean residual assigned to them.
 
-    The reserved zero code (index 0) is never moved; codes with no
-    assignments are left unchanged.
+    Assignments and residuals are those of one rq_encode pass before any
+    update, so each depth's residual has the code picked before it, not
+    that code's updated value, subtracted.  The reserved zero code (index 0)
+    is never moved; codes with no assignments are left unchanged.
     """
-    z = z_e.data if isinstance(z_e, Tensor) else np.asarray(z_e, dtype=np.float64)
-    residual = z.copy()
+    code = rq_encode(z_e, book)
     for n in range(book.depth):
         codes = book.codes[n]
-        d2 = ((residual[:, None, :] - codes[None, :, :]) ** 2).sum(axis=2)
-        pick = d2.argmin(axis=1)
+        pick, residual = code.indices[n], code.residuals[n]
         for k in range(1, book.size):
             mask = pick == k
             if mask.any():
                 target = residual[mask].mean(axis=0)
                 codes[k] = decay * codes[k] + (1.0 - decay) * target
-        residual = residual - codes[pick]

@@ -5,9 +5,8 @@ their local gradient rules onto that tape; ``backward(loss)`` replays the
 tape in reverse append order.  Outside a tape every op is forward-only.
 
 Gradients are accumulated in ``Tensor.grad`` (same shape as the tensor,
-allocated lazily, zeros for leaves that never participate).  Default dtype
-is float64 so finite-difference checks are meaningful; float32 is allowed
-for speed.
+allocated lazily, zeros for leaves that never participate).  Data is
+float64, so finite-difference checks are meaningful.
 """
 
 from __future__ import annotations
@@ -68,11 +67,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "tape")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        arr = np.asarray(data, dtype=dtype if dtype is not None else np.float64)
-        if arr.dtype not in (np.float64, np.float32):
-            arr = arr.astype(np.float64)
-        self.data = np.ascontiguousarray(arr)
+    def __init__(self, data, requires_grad=False):
+        self.data = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(self.data) if self.requires_grad else None
         self.tape = None
@@ -88,10 +84,6 @@ class Tensor:
     @property
     def size(self):
         return self.data.size
-
-    @property
-    def dtype(self):
-        return self.data.dtype
 
     def item(self):
         return float(self.data.reshape(-1)[0]) if self.size == 1 else _scalar_err(self)
@@ -217,11 +209,8 @@ def _make(out_data, pairs):
     return out
 
 
-def _as_tensor(x, like=None):
-    if isinstance(x, Tensor):
-        return x
-    dtype = like.dtype if like is not None else np.float64
-    return Tensor(np.asarray(x, dtype=dtype))
+def _as_tensor(x):
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def backward(loss):
@@ -271,7 +260,7 @@ def _unbroadcast(g, shape):
 # elementwise arithmetic
 
 def add(a, b):
-    a, b = _as_tensor(a), _as_tensor(b, like=a)
+    a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a, b)
     out = a.data + b.data
     return _make(out, [
@@ -281,7 +270,7 @@ def add(a, b):
 
 
 def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b, like=a)
+    a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a, b)
     out = a.data - b.data
     return _make(out, [
@@ -291,7 +280,7 @@ def sub(a, b):
 
 
 def mul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b, like=a)
+    a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a, b)
     out = a.data * b.data
     return _make(out, [
@@ -301,7 +290,7 @@ def mul(a, b):
 
 
 def div(a, b):
-    a, b = _as_tensor(a), _as_tensor(b, like=a)
+    a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a, b)
     out = a.data / b.data
     return _make(out, [
@@ -371,7 +360,7 @@ def softplus(a):
 
 def matmul(a, b):
     """Matrix product; leading batch axes broadcast as in np.matmul."""
-    a, b = _as_tensor(a), _as_tensor(b, like=a)
+    a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim == 2 and b.ndim == 2:
         if a.shape[1] != b.shape[0]:
             raise DimensionError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
@@ -504,7 +493,7 @@ def attention(q, k, v, scale):
     then the probabilities, the only array kept for the backward: at a few
     hundred tokens each extra temporary of that size costs page faults.
     """
-    q, k, v = _as_tensor(q), _as_tensor(k, like=q), _as_tensor(v, like=q)
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if min(q.ndim, k.ndim, v.ndim) < 2:
         raise DimensionError(
             f"attention expects operands of rank >= 2, got {q.shape}, {k.shape}, {v.shape}")
@@ -557,8 +546,6 @@ def rotate_pairs(a, cos, sin):
     if np.shape(cos) != half_shape or np.shape(sin) != half_shape:
         raise DimensionError(
             f"angle tables {np.shape(cos)}, {np.shape(sin)} do not match {half_shape}")
-    cos = np.asarray(cos, dtype=a.dtype)
-    sin = np.asarray(sin, dtype=a.dtype)
     xe, xo = a.data[..., 0::2], a.data[..., 1::2]
     out = np.empty_like(a.data)
     out[..., 0::2] = xe * cos - xo * sin
@@ -576,7 +563,7 @@ def rotate_pairs(a, cos, sin):
 
 def rmsnorm(a, gain):
     """a / sqrt(mean(a^2, last axis) + eps) * gain, as one op."""
-    a, gain = _as_tensor(a), _as_tensor(gain, like=a)
+    a, gain = _as_tensor(a), _as_tensor(gain)
     if a.shape[-1] == 0:
         raise DimensionError("rmsnorm over zero-length axis")
     if gain.shape != a.shape[-1:]:
@@ -625,7 +612,7 @@ def conv1d(x, kernels, dilation=1, bias=None):
 
     x: [c_in, T], kernels: [c_out, c_in, W] with odd W, bias: [c_out] or None.
     """
-    x, w = _as_tensor(x), _as_tensor(kernels, like=x)
+    x, w = _as_tensor(x), _as_tensor(kernels)
     if x.ndim != 2 or w.ndim != 3:
         raise DimensionError(f"conv1d expects x[c,T] and kernels[o,c,W], got {x.shape}, {w.shape}")
     c_out, c_in, width = w.shape
@@ -639,7 +626,7 @@ def conv1d(x, kernels, dilation=1, bias=None):
     T = x.shape[1]
     pad = (width // 2) * dilation
     xp = np.pad(x.data, ((0, 0), (pad, pad)))
-    out = np.zeros((c_out, T), dtype=x.dtype)
+    out = np.zeros((c_out, T))
     for k in range(width):
         out += w.data[:, :, k] @ xp[:, k * dilation:k * dilation + T]
 
@@ -657,7 +644,7 @@ def conv1d(x, kernels, dilation=1, bias=None):
 
     pairs = [(x, grad_x), (w, grad_w)]
     if bias is not None:
-        b = _as_tensor(bias, like=x)
+        b = _as_tensor(bias)
         if b.shape != (c_out,):
             raise DimensionError(f"bias shape {b.shape} != ({c_out},)")
         out = out + b.data[:, None]
@@ -702,7 +689,7 @@ def cross_entropy(logits, targets, reduction="mean"):
 
 def mse(a, b):
     """Mean squared error over all elements."""
-    a, b = _as_tensor(a), _as_tensor(b, like=a)
+    a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
         raise DimensionError(f"mse shapes differ: {a.shape} vs {b.shape}")
     d = sub(a, b)
@@ -744,10 +731,10 @@ class ParameterStore:
     def __init__(self):
         self._params = {}
 
-    def add(self, name, value, dtype=np.float64):
+    def add(self, name, value):
         if name in self._params:
             raise StateError(f"duplicate parameter name {name!r}")
-        t = value if isinstance(value, Tensor) else Tensor(value, dtype=dtype)
+        t = _as_tensor(value)
         t.requires_grad = True
         if t.grad is None:
             t.grad = np.zeros_like(t.data)

@@ -16,7 +16,7 @@ from . import tensor as tt
 from .errors import NumericError
 from .flow import FlowConfig, MLPEstimator, cfm_loss, euler_sample, make_flow_sample
 from .melody import MelodyBatch, MelodyModel, melody_loss, NoteSequence
-from .metrics import evaluate_pair, InvalidMetric, REPORT_COLUMNS
+from .metrics import evaluate_pair, InvalidMetric
 from .models import AccompFlowModel, StylePredictorModel
 from .moe import RouterState, TAU_LOW, gate_entropy, tau_schedule
 from .optim import Adam

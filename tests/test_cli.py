@@ -4,8 +4,10 @@ import io
 import numpy as np
 import pytest
 
+from bandflow.checkpoint import save_checkpoint
 from bandflow.cli import Options, build_parser, cli_dispatch
 from bandflow.errors import ConfigError
+from bandflow.flow import MLPEstimator
 from bandflow.melody import NoteSequence, save_notes
 from bandflow.metrics import REPORT_COLUMNS
 from bandflow.train import ROUTE_COLUMNS
@@ -171,6 +173,16 @@ class TestTrainAndSample:
         code, _, err = run(["sample", "--ckpt", str(tmp_path / "none.vbnd")], capsys)
         assert code == 2
 
+    def test_sample_truncated_checkpoint_exits_two(self, tmp_path, capsys):
+        ck = tmp_path / "cut.vbnd"
+        save_checkpoint(MLPEstimator(2, 64, np.random.default_rng(0)).params, ck)
+        ck.write_bytes(ck.read_bytes()[:-7])
+        code, out, err = run(["sample", "--ckpt", str(ck), "--n", "4",
+                              "--out", str(tmp_path / "s.csv")], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith(f"error: {ck}: truncated payload")
+
 
 class TestEvalMelody:
     def _write_songs(self, directory, seed=0):
@@ -208,22 +220,17 @@ class TestEvalMelody:
         code, _, err = run(["eval-melody", str(d), str(single)], capsys)
         assert code == 2
 
-    def test_thread_env_respected(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("VBND_THREADS", "1")
+    def test_malformed_notes_line_exits_two(self, tmp_path, capsys):
         d = tmp_path / "songs"
-        self._write_songs(d, seed=1)
-        code, _, _ = run(["eval-melody", str(d), str(d)], capsys)
-        assert code == 0
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
-    def test_bad_thread_env_exits_two(self, tmp_path, capsys, monkeypatch, value):
-        monkeypatch.setenv("VBND_THREADS", value)
-        d = tmp_path / "songs"
-        self._write_songs(d, seed=1)
+        self._write_songs(d)
+        bad = d / "song0001.notes"
+        bad.write_text(bad.read_text() + "bogus\n")
+        line = len(bad.read_text().splitlines())
         code, out, err = run(["eval-melody", str(d), str(d)], capsys)
         assert code == 2
         assert out == ""
-        assert err.count("\n") == 1 and err.startswith("error: VBND_THREADS")
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {bad}:{line}: malformed line 'bogus'")
 
 
 class TestEvalF0:
@@ -237,6 +244,18 @@ class TestEvalF0:
         code, out, _ = run(["eval-f0", str(g_path), str(r_path)], capsys)
         assert code == 0
         assert out.strip() == "FFE=0.600000"
+
+    @pytest.mark.parametrize("text", ["100.0\n0.0\n", "0,abc\n1,100\n"],
+                             ids=["one_column", "non_numeric"])
+    def test_unreadable_track_exits_two(self, tmp_path, capsys, text):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text("0,100\n1,100\n")
+        bad.write_text(text)
+        for argv in ([str(bad), str(good)], [str(good), str(bad)]):
+            code, out, err = run(["eval-f0", *argv], capsys)
+            assert code == 2
+            assert out == ""
+            assert err.count("\n") == 1 and err.startswith(f"error: {bad}: ")
 
 
 class TestGradcheckCommand:

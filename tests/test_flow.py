@@ -44,8 +44,7 @@ class TestFlowSample:
         np.testing.assert_array_equal(s1.xt, x1)
 
     def test_midpoint_arithmetic(self):
-        s = make_flow_sample(np.array([2.0, 4.0]), np.random.default_rng(0),
-                             FlowConfig(), x0=np.zeros(2), t=0.5)
+        s = FlowSample(x0=np.zeros(2), x1=np.array([2.0, 4.0]), t=0.5)
         np.testing.assert_array_equal(s.xt, [1.0, 2.0])
         np.testing.assert_array_equal(s.u, [2.0, 4.0])
 

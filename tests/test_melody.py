@@ -1,8 +1,12 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import bandflow.tensor as tt
-from bandflow.errors import BoundsError, DataError, DimensionError
+from bandflow.errors import BandflowError, BoundsError, DataError, DimensionError
 from bandflow.melody import (
     REST,
     MelodyBatch,
@@ -46,6 +50,38 @@ class TestNoteSequence:
         assert back.pitches == ns.pitches
         assert back.durations == ns.durations
         assert back.tempo == ns.tempo
+
+    @pytest.mark.parametrize("bad", ["bogus", "60,1,2", "6O,1", "60,one", "tempo=fast"])
+    def test_malformed_line_names_file_and_line(self, tmp_path, bad):
+        path = tmp_path / "song.notes"
+        path.write_text(f"tempo=120\n60,1\n\n{bad}\n62,1\n")
+        with pytest.raises(DataError, match="^" + re.escape(f"{path}:4: malformed line")):
+            load_notes(path)
+
+    @pytest.mark.parametrize("line", ["60,nan", "60,inf", "60,-1", "200,1", "tempo=0",
+                                      "tempo=nan"])
+    def test_invalid_value_names_file(self, tmp_path, line):
+        path = tmp_path / "song.notes"
+        path.write_text(f"60,1\n{line}\n")
+        with pytest.raises(DataError, match="^" + re.escape(f"{path}: ")):
+            load_notes(path)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.one_of(
+        st.text(),
+        st.builds("{},{}".format,
+                  st.one_of(st.just("R"), st.integers(-3, 200), st.text(max_size=3)),
+                  st.one_of(st.floats(), st.text(max_size=3))),
+        st.builds("tempo={}".format, st.one_of(st.floats(), st.text(max_size=3))),
+    ), max_size=6))
+    def test_arbitrary_text_raises_only_package_errors(self, tmp_path, lines):
+        path = tmp_path / "fuzz.notes"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        try:
+            load_notes(path)
+        except BandflowError:
+            pass
 
 
 class TestLengthRegulate:

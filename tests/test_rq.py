@@ -137,6 +137,20 @@ class TestCodebookUpdate:
         codebook_update(book, z, decay=0.9)
         np.testing.assert_allclose(book.codes[0][1], [1.1, 1.1])
 
+    def test_depth_two_residual_subtracts_code_before_update(self):
+        book = RQCodebook(codes=np.array([[[0.0, 0.0], [1.0, 0.0]],
+                                          [[0.0, 0.0], [0.0, 1.0]]]))
+        z = np.array([[2.0, 1.0]])
+        code = rq_encode(z, book)
+        codebook_update(book, z, decay=0.5)
+        # depth 0 picks (1,0) and moves it to (1.5,0.5); depth 1 sees the
+        # residual (2,1) - (1,0) = (1,1), picks (0,1) and moves it halfway.
+        # Subtracting the moved code instead would leave (0.5,0.5), equally
+        # near both depth-1 codes, and code 1 would not move.
+        np.testing.assert_array_equal(code.residuals[1], [[1.0, 1.0]])
+        np.testing.assert_array_equal(book.codes[0][1], [1.5, 0.5])
+        np.testing.assert_array_equal(book.codes[1][1], [0.5, 1.0])
+
     def test_repeated_updates_converge_to_cluster_mean(self):
         book = RQCodebook(codes=np.array([[[0.0, 0.0], [3.0, 3.0]]]))
         z = np.full((8, 2), 4.0)
