@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -36,16 +37,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_config(path):
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = list(f)
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
     cfg = {}
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"bad config line {line!r}; expected key=value")
-            key, value = line.split("=", 1)
-            cfg[key.strip().replace("-", "_")] = value.strip()
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"bad config line {line!r}; expected key=value")
+        key, value = line.split("=", 1)
+        cfg[key.strip().replace("-", "_")] = value.strip()
     return cfg
 
 
@@ -237,10 +242,13 @@ def _cmd_eval_melody(args):
             f"{len(gen_files)} generated vs {len(ref_files)} reference songs")
     rows = []
     for g, r in zip(gen_files, ref_files):
+        gen, ref = load_notes(g), load_notes(r)
         try:
-            rows.append(evaluate_pair(load_notes(g), load_notes(r)).row())
+            rows.append(evaluate_pair(gen, ref).row())
         except InvalidMetric:
             pass
+        except DataError as e:
+            raise DataError(f"{g} vs {r}: {e}") from None
     if not rows:
         raise BandflowError("no valid song pairs")
     summary = np.asarray(rows).mean(axis=0).tolist()
@@ -258,9 +266,13 @@ def _cmd_eval_melody(args):
 def _read_f0(path):
     """The second column of a numeric CSV: F0 per frame, 0 when unvoiced."""
     try:
-        track = np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # empty input, reported below
+            track = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as e:
         raise DataError(f"{path}: not a numeric CSV: {e}") from None
+    if track.size == 0:
+        raise DataError(f"{path}: no data")
     if track.shape[1] < 2:
         raise DataError(f"{path}: expected at least 2 columns, got {track.shape[1]}")
     return track[:, 1]

@@ -85,6 +85,10 @@ def load_notes(path) -> NoteSequence:
         except ValueError:
             raise DataError(f"{path}:{lineno}: malformed line {line!r}; "
                             "expected 'pitch,duration' or 'tempo=bpm'") from None
+        if p != "R" and not 0 <= pitches[-1] <= 127:
+            # Checked here, not left to NoteSequence, where -1 is REST.
+            raise DataError(f"{path}: line {lineno}: pitch {pitches[-1]} outside [0, 127]; "
+                            "a rest is written R")
     try:
         return NoteSequence(pitches=pitches, durations=durations, tempo=tempo)
     except DataError as e:

@@ -25,6 +25,7 @@ DURATION_BINS = 32
 DURATION_RANGE = (0.0, 4.0)       # beats
 SIXTEENTHS_PER_BEAT = 4
 F0_DEVIATION = 0.2
+MAX_SIXTEENTHS = 2 ** 20   # longest song grid the melody distance accepts
 
 NOTE_NAMES = {"C": 0, "C#": 1, "DB": 1, "D": 2, "D#": 3, "EB": 3, "E": 4, "F": 5,
               "F#": 6, "GB": 6, "G": 7, "G#": 8, "AB": 8, "A": 9, "A#": 10,
@@ -59,6 +60,10 @@ class KeyProfileTable:
         for mode, prof in self.base.items():
             if prof.shape != (12,):
                 raise DataError(f"{mode} profile must have 12 entries")
+        self._rotated = {(tonic, mode): np.roll(self.base[mode], tonic)
+                         for tonic, mode in self.keys()}
+        for prof in self._rotated.values():
+            prof.flags.writeable = False
 
     @classmethod
     def load(cls):
@@ -74,8 +79,7 @@ class KeyProfileTable:
 
     def profile(self, tonic, mode):
         """Profile for a key as pitch-class weights (index = pitch class)."""
-        base = self.base[mode]
-        return np.roll(base, tonic)
+        return self._rotated[tonic % 12, mode]
 
     def keys(self):
         for mode in ("major", "minor"):
@@ -101,21 +105,36 @@ def pitch_class_histogram(notes: NoteSequence):
     return hist
 
 
+def _checked_histogram(notes):
+    hist = pitch_class_histogram(notes)
+    with np.errstate(over="ignore"):   # an overflow is reported below
+        spread = hist.std()
+    if spread == 0:
+        raise InvalidMetric("constant pitch-class histogram; correlation undefined")
+    if not np.isfinite(spread):
+        raise DataError("pitch-class histogram overflows; a duration is too long")
+    return hist
+
+
 def key_correlation(notes: NoteSequence, key):
     """Pearson correlation of the duration-weighted pitch-class histogram
     with the key's reference profile."""
     tonic, mode = parse_key(key)
-    hist = pitch_class_histogram(notes)
-    if hist.std() == 0:
-        raise InvalidMetric("constant pitch-class histogram; correlation undefined")
-    prof = _default_table().profile(tonic, mode)
-    return float(np.corrcoef(hist, prof)[0, 1])
+    hist = _checked_histogram(notes)
+    return float(np.corrcoef(hist, _default_table().profile(tonic, mode))[0, 1])
 
 
 def best_key(notes: NoteSequence):
-    """Most correlated of the 24 keys."""
-    scored = [(key_correlation(notes, k), k) for k in _default_table().keys()]
-    return max(scored)[1]
+    """Most correlated of the 24 keys; a tie goes to the larger (tonic, mode).
+
+    Each key gets its own ``np.corrcoef`` call, not one row of a 24x12
+    product: rotations of a histogram can tie exactly, and the winner of a
+    tie must not depend on how the sums were rounded.
+    """
+    hist = _checked_histogram(notes)
+    table = _default_table()
+    return max((float(np.corrcoef(hist, table.profile(*k))[0, 1]), k)
+               for k in table.keys())[1]
 
 
 def key_accuracy(gen: NoteSequence, gt: NoteSequence, gt_key):
@@ -177,37 +196,51 @@ def dist_similarity(gen_set, gt_set):
 
 def expand_sixteenths(notes: NoteSequence):
     """Pitch series on a 1/16-note grid (rests skipped, min one sixteenth)."""
-    series = []
-    for p, d in notes.sounding():
-        n = max(1, int(round(d * SIXTEENTHS_PER_BEAT)))
-        series.extend([float(p)] * n)
-    if not series:
+    sounding = notes.sounding()
+    if not sounding:
         raise DataError("empty sixteenth-note expansion")
-    return np.asarray(series)
+    pitches, beats = np.asarray(sounding, dtype=np.float64).T
+    # Clipping cannot overflow, and a clipped note alone exceeds the limit.
+    beats = np.minimum(beats, MAX_SIXTEENTHS)
+    counts = np.maximum(1.0, np.rint(beats * SIXTEENTHS_PER_BEAT))
+    if counts.sum() > MAX_SIXTEENTHS:
+        raise DataError(f"song spans more than {MAX_SIXTEENTHS} sixteenths")
+    return np.repeat(pitches, counts.astype(np.int64))
 
 
 def dtw_distance(a, b):
-    """DTW with absolute-difference cost and steps (1,0), (0,1), (1,1)."""
+    """DTW with absolute-difference cost and steps (1,0), (0,1), (1,1).
+
+    Cells with equal i + j do not depend on each other, so the table is
+    filled one anti-diagonal at a time from the two diagonals before it;
+    memory is O(n + m). A diagonal is stored by i + 1, with inf in every slot
+    outside its cells; slot 0 of diagonal -2 is the virtual cell
+    D[-1, -1] = 0. Each cell adds the same cost to the same minimum as the
+    cell-by-cell recurrence, so the result is bitwise the same.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.size == 0 or b.size == 0:
         raise DataError("empty series")
-    cost = np.abs(a[:, None] - b[None, :])
-    D = np.full((a.size, b.size), np.inf)
-    D[0, 0] = cost[0, 0]
-    for i in range(a.size):
-        for j in range(b.size):
-            if i == 0 and j == 0:
-                continue
-            best = np.inf
-            if i > 0:
-                best = min(best, D[i - 1, j])
-            if j > 0:
-                best = min(best, D[i, j - 1])
-            if i > 0 and j > 0:
-                best = min(best, D[i - 1, j - 1])
-            D[i, j] = cost[i, j] + best
-    return float(D[-1, -1])
+    n, m = a.size, b.size
+    b_rev = b[::-1].copy()
+    older = np.full(n + 1, np.inf)
+    older[0] = 0.0
+    last = np.full(n + 1, np.inf)
+    cur = np.full(n + 1, np.inf)
+    cost = np.empty(n)
+    for k in range(n + m - 1):
+        lo, hi = max(0, k - m + 1), min(k + 1, n)     # cells (i, k - i), lo <= i < hi
+        out, c = cur[lo + 1:hi + 1], cost[:hi - lo]
+        np.minimum(last[lo:hi], last[lo + 1:hi + 1], out=out)
+        np.minimum(out, older[lo:hi], out=out)
+        np.subtract(a[lo:hi], b_rev[m - 1 - k + lo:m - 1 - k + hi], out=c)
+        np.add(np.abs(c, out=c), out, out=out)
+        # cur holds diagonal k - 3's values. Neither lo nor hi decreases
+        # with k, so of its stale slots only slot lo is read again.
+        cur[lo] = np.inf
+        older, last, cur = last, cur, older
+    return float(last[n])
 
 
 def melody_distance(gen: NoteSequence, gt: NoteSequence):

@@ -3,10 +3,12 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bandflow.checkpoint import save_checkpoint
-from bandflow.cli import Options, build_parser, cli_dispatch
-from bandflow.errors import ConfigError
+from bandflow.cli import Options, _read_config, build_parser, cli_dispatch
+from bandflow.errors import BandflowError, ConfigError
 from bandflow.flow import MLPEstimator
 from bandflow.melody import NoteSequence, save_notes
 from bandflow.metrics import REPORT_COLUMNS
@@ -81,6 +83,27 @@ class TestConfigResolution:
                             "--out", str(tmp_path / "x")], capsys)
         assert code == 2
         assert "error" in err.lower()
+
+
+    def test_non_utf8_config_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xff\xfesteps=2\n")
+        code, out, err = run(["train", "--model", "melody", "--config", str(cfg),
+                              "--out", str(tmp_path / "m.vbnd")], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {cfg}: not UTF-8 text\n"
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.binary(max_size=64))
+    def test_arbitrary_bytes_raise_only_package_errors(self, tmp_path, data):
+        cfg = tmp_path / "fuzz.cfg"
+        cfg.write_bytes(data)
+        try:
+            _read_config(cfg)
+        except BandflowError:
+            pass
 
 
 class TestConfigBooleans:
@@ -233,6 +256,33 @@ class TestEvalMelody:
         assert err.startswith(f"error: {bad}:{line}: malformed line 'bogus'")
 
 
+    def _pair(self, tmp_path, line):
+        ref = tmp_path / "ref.notes"
+        save_notes(NoteSequence(pitches=[60, 64, 67], durations=[1.0, 1.0, 2.0],
+                                tempo=120.0), ref)
+        gen = tmp_path / "gen.notes"
+        gen.write_text(f"tempo=120\n60,1\n{line}\n")
+        return gen, ref
+
+    @pytest.mark.filterwarnings("error")   # a warning would be a second stderr line
+    @pytest.mark.parametrize("line", ["62,1e300", "62,1e308", "62,1e8"])
+    def test_overlong_note_exits_two(self, tmp_path, capsys, line):
+        gen, ref = self._pair(tmp_path, line)
+        for argv in ([str(gen), str(ref)], [str(ref), str(gen)]):
+            code, out, err = run(["eval-melody", *argv], capsys)
+            assert code == 2
+            assert out == ""
+            assert err.count("\n") == 1
+            assert err.startswith(f"error: {argv[0]} vs {argv[1]}: ")
+
+    def test_negative_pitch_exits_two(self, tmp_path, capsys):
+        gen, ref = self._pair(tmp_path, "-1,1")
+        code, out, err = run(["eval-melody", str(gen), str(ref)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {gen}: line 3: pitch -1 outside [0, 127]; a rest is written R\n"
+
+
 class TestEvalF0:
     def test_reports_error_fraction(self, tmp_path, capsys):
         t = np.arange(5)
@@ -256,6 +306,19 @@ class TestEvalF0:
             assert code == 2
             assert out == ""
             assert err.count("\n") == 1 and err.startswith(f"error: {bad}: ")
+
+
+    @pytest.mark.filterwarnings("error")   # a warning would be a second stderr line
+    @pytest.mark.parametrize("text", ["", "\n", "# frame,f0\n"],
+                             ids=["empty", "blank_line", "comment_only"])
+    def test_track_without_data_exits_two(self, tmp_path, capsys, text):
+        good, empty = tmp_path / "good.csv", tmp_path / "empty.csv"
+        good.write_text("0,100\n1,100\n")
+        empty.write_text(text)
+        code, out, err = run(["eval-f0", str(empty), str(good)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {empty}: no data\n"
 
 
 class TestGradcheckCommand:

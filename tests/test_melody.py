@@ -66,6 +66,13 @@ class TestNoteSequence:
         with pytest.raises(DataError, match="^" + re.escape(f"{path}: ")):
             load_notes(path)
 
+    @pytest.mark.parametrize("pitch", ["-1", "-7", "128"])
+    def test_numeric_pitch_out_of_range_names_line(self, tmp_path, pitch):
+        path = tmp_path / "song.notes"
+        path.write_text(f"tempo=120\nR,1\n{pitch},1\n")
+        with pytest.raises(DataError, match="^" + re.escape(f"{path}: line 3: pitch {pitch} ")):
+            load_notes(path)
+
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.lists(st.one_of(

@@ -1,11 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandflow.errors import ConfigError, DataError, DimensionError
 from bandflow.melody import REST, NoteSequence
 from bandflow.metrics import (
     F0_DEVIATION,
     REPORT_COLUMNS,
+    MAX_SIXTEENTHS,
+    SIXTEENTHS_PER_BEAT,
     InvalidMetric,
     KeyProfileTable,
     apd_td,
@@ -30,6 +36,47 @@ def _seq(pitches, durations=None, tempo=120.0):
 
 
 C_MAJOR_SCALE = [60, 62, 64, 65, 67, 69, 71, 72]
+
+
+def _reference_dtw(a, b):
+    """The cell-by-cell DTW recurrence over a full n x m table."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    cost = np.abs(a[:, None] - b[None, :])
+    D = np.full((a.size, b.size), np.inf)
+    D[0, 0] = cost[0, 0]
+    for i in range(a.size):
+        for j in range(b.size):
+            if i == 0 and j == 0:
+                continue
+            best = np.inf
+            if i > 0:
+                best = min(best, D[i - 1, j])
+            if j > 0:
+                best = min(best, D[i, j - 1])
+            if i > 0 and j > 0:
+                best = min(best, D[i - 1, j - 1])
+            D[i, j] = cost[i, j] + best
+    return float(D[-1, -1])
+
+
+_KEYS = list(KeyProfileTable.load().keys())
+
+
+def _reference_best_key(notes):
+    """Scores each key on its own and keeps the max of (correlation, key)."""
+    return max((key_correlation(notes, k), k) for k in _KEYS)[1]
+
+
+def _reference_sixteenths(notes):
+    series = []
+    for p, d in notes.sounding():
+        series.extend([float(p)] * max(1, int(round(d * SIXTEENTHS_PER_BEAT))))
+    return np.asarray(series)
+
+
+_series = st.lists(st.one_of(st.floats(-1e6, 1e6), st.sampled_from([-1.5, 0.0, 2.0])),
+                   min_size=1, max_size=40)
 
 
 class TestKeyEstimation:
@@ -67,6 +114,32 @@ class TestKeyEstimation:
         all_rests = NoteSequence(pitches=[REST], durations=[1.0], tempo=120.0)
         with pytest.raises(InvalidMetric):
             key_correlation(all_rests, "C major")
+
+    def test_best_key_matches_per_key_scores_on_random_songs(self):
+        rng = np.random.default_rng(4)
+        for _ in range(40):
+            n = int(rng.integers(3, 40))
+            notes = _seq(rng.integers(48, 84, size=n).tolist(),
+                         rng.choice([0.25, 0.5, 1.0, 1.5], size=n).tolist())
+            assert best_key(notes) == _reference_best_key(notes)
+
+    def test_best_key_matches_per_key_scores_on_equal_weight_sets(self):
+        # Rotations of such histograms can tie exactly; the larger
+        # (tonic, mode) of a tie must win, as max over the pairs picks.
+        for size in range(2, 7):
+            for classes in itertools.combinations(range(12), size):
+                notes = _seq([60 + c for c in classes])
+                assert best_key(notes) == _reference_best_key(notes), classes
+
+    def test_best_key_tritone_pair(self):
+        assert best_key(_seq([62, 68])) == (8, "major")
+
+    def test_overflowing_histogram_is_data_error(self):
+        notes = _seq([60, 62], [1.0, 1e300])
+        with pytest.raises(DataError, match="overflows"):
+            best_key(notes)
+        with pytest.raises(DataError, match="overflows"):
+            key_correlation(notes, "C major")
 
     def test_key_accuracy_identity(self):
         gt = _seq(C_MAJOR_SCALE)
@@ -158,6 +231,26 @@ class TestDtw:
                 brute(a, b, la - 1, lb - 1))
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(_series, _series)
+    def test_equals_reference_recurrence(self, a, b):
+        assert dtw_distance(a, b) == _reference_dtw(a, b)
+
+    @pytest.mark.parametrize("la,lb", [(1, 1), (1, 37), (37, 1), (2, 40), (40, 3)])
+    def test_equals_reference_on_thin_tables(self, la, lb):
+        rng = np.random.default_rng(la * 100 + lb)
+        a, b = rng.standard_normal(la), rng.integers(-3, 3, size=lb).astype(float)
+        assert dtw_distance(a, b) == _reference_dtw(a, b)
+        assert dtw_distance(b, a) == _reference_dtw(b, a)
+
+    def test_equals_reference_on_song_length_series(self):
+        rng = np.random.default_rng(2)
+        a = rng.integers(55, 80, size=240).astype(float)
+        b = rng.integers(55, 80, size=180).astype(float)
+        a, b = a - a.mean(), b - b.mean()
+        assert dtw_distance(a, b) == _reference_dtw(a, b)
+
+
 class TestMelodyDistance:
     def test_sixteenth_expansion(self):
         series = expand_sixteenths(_seq([60, 62], [1.0, 0.25]))
@@ -170,6 +263,33 @@ class TestMelodyDistance:
     def test_all_rests_rejected(self):
         with pytest.raises(DataError):
             expand_sixteenths(NoteSequence(pitches=[REST], durations=[1.0]))
+
+    def test_equals_note_by_note_expansion(self):
+        rng = np.random.default_rng(3)
+        # 0.125, 0.375 and 0.625 beats land on half sixteenths: half to even.
+        lengths = [0.01, 0.125, 0.25, 0.375, 0.5, 0.625, 1.0, 1.5, 2.0, 0.3]
+        for _ in range(50):
+            n = int(rng.integers(1, 30))
+            pitches = [REST if r < 0.1 else int(p) for r, p in
+                       zip(rng.random(n), rng.integers(0, 128, size=n))]
+            if all(p == REST for p in pitches):
+                continue
+            notes = NoteSequence(pitches=pitches,
+                                 durations=rng.choice(lengths, size=n).tolist())
+            series = expand_sixteenths(notes)
+            assert series.dtype == np.float64
+            np.testing.assert_array_equal(series, _reference_sixteenths(notes))
+
+    @pytest.mark.parametrize("beats", [1e300, 1e308, MAX_SIXTEENTHS / 4 + 0.25])
+    def test_grid_longer_than_limit_rejected(self, beats):
+        with pytest.raises(DataError, match="sixteenths"):
+            expand_sixteenths(_seq([60, 62], [beats, 1.0]))
+
+    def test_grid_at_limit_accepted(self):
+        beats = MAX_SIXTEENTHS / SIXTEENTHS_PER_BEAT
+        assert expand_sixteenths(_seq([60, 62], [beats - 1.0, 1.0])).size == MAX_SIXTEENTHS
+        with pytest.raises(DataError):
+            expand_sixteenths(_seq([60, 62], [beats - 1.0, 1.25]))
 
     def test_transposition_invariant(self):
         a = _seq([60, 62, 64], [0.25, 0.25, 0.25])
