@@ -55,11 +55,12 @@ def _rope_tables(T, head_dim, heads):
 def rope_rotate(x, positions=None, heads=1):
     """Rotate consecutive coordinate pairs by position-dependent angles.
 
-    x: [T, heads * head_dim] with even head_dim; each head's slice is rotated
-    independently.  positions defaults to 0..T-1 (tables cached per shape).
+    x: [..., T, heads * head_dim] with even head_dim; each head's slice is
+    rotated independently, and the [T, ·] angle tables broadcast over the
+    leading axes.  positions defaults to 0..T-1 (tables cached per shape).
     Angle ladder is sinusoid_ladder(head_dim).
     """
-    T, d = x.shape
+    T, d = x.shape[-2:]
     if d % heads != 0 or (d // heads) % 2 != 0:
         raise ConfigError(f"rope needs an even width per head, got {d} over {heads} heads")
     if positions is None:
@@ -82,12 +83,13 @@ def positional_encoding(T, d):
 
 
 def global_style(z_p, z_v, time_vec):
-    """Temporal mean of prompt tokens and vocal embedding plus time features.
+    """Token-axis mean of prompt tokens and vocal embedding plus time features.
 
-    Returns a [1, d] tensor used to drive the adaptive-layernorm modulation.
+    z_p: [..., P, d], z_v: [..., T, d].  Returns a [..., 1, d] tensor used to
+    drive the adaptive-layernorm modulation.
     """
-    zp_mean = tt.mean(z_p, axis=0, keepdims=True)
-    zv_mean = tt.mean(z_v, axis=0, keepdims=True)
+    zp_mean = tt.mean(z_p, axis=-2, keepdims=True)
+    zv_mean = tt.mean(z_v, axis=-2, keepdims=True)
     t = time_vec if time_vec.ndim == 2 else tt.reshape(time_vec, (1, time_vec.shape[0]))
     return tt.add(tt.add(zp_mean, zv_mean), t)
 
@@ -119,12 +121,13 @@ class GatedAttention:
         self.alpha = p.add(f"{prefix}.alpha", np.zeros(()))
 
     def _split(self, x):
-        """[T, d] -> [heads, T, head_dim]."""
-        return tt.swapaxes(tt.reshape(x, (x.shape[0], self.heads, self.head_dim)), 0, 1)
+        """[..., T, d] -> [..., heads, T, head_dim]."""
+        lead = x.shape[:-1]
+        return tt.swapaxes(tt.reshape(x, lead + (self.heads, self.head_dim)), -3, -2)
 
     def _merge(self, x):
-        """[heads, T, head_dim] -> [T, d]."""
-        return tt.reshape(tt.swapaxes(x, 0, 1), (x.shape[1], self.d))
+        """[..., heads, T, head_dim] -> [..., T, d]."""
+        return tt.reshape(tt.swapaxes(x, -3, -2), x.shape[:-3] + (x.shape[-2], self.d))
 
     def _query(self, h):
         return self._split(rope_rotate(tt.matmul(h, self.wq), heads=self.heads))
@@ -201,10 +204,11 @@ class BandBlock:
             self.ffn = None
 
     def __call__(self, h, z_p, z_g, moe_ctx=None):
-        """h: [T, d]; z_p: [P, d] or None; z_g: [1, d] global style."""
+        """h: [..., T, d]; z_p: [..., P, d] or None; z_g: [..., 1, d] global
+        style, which modulates every token of its row."""
         a = tt.add(h, self.attn(tt.rmsnorm(h, self.norm_gain), z_p))
-        scale = tt.reshape(tt.matmul(z_g, self.w_scale), (self.d,))
-        shift = tt.reshape(tt.matmul(z_g, self.w_shift), (self.d,))
+        scale = tt.matmul(z_g, self.w_scale)
+        shift = tt.matmul(z_g, self.w_shift)
         mod = tt.adaln(a, scale, shift)
         if self.moe is not None:
             f = self.moe(mod, **(moe_ctx or {}))

@@ -23,7 +23,8 @@ from .melody import load_notes, save_notes
 from .metrics import REPORT_COLUMNS, evaluate_pair, f0_frame_error, InvalidMetric
 from .synth import gen_flow2d, gen_melody_grammar, gen_style_toy, gen_toy_pairs
 
-TASKS = ("flow2d", "accomp-toy", "melody-grammar", "style-toy")
+# task -> the number of items it writes by default
+TASKS = {"flow2d": 10000, "accomp-toy": 96, "melody-grammar": 120, "style-toy": 64}
 MODELS = ("flow2d", "style", "accomp", "melody")
 
 
@@ -85,6 +86,16 @@ class Options:
                 raise ConfigError(f"bad value {text!r} for {key!r} in config") from None
         return default
 
+    def at_least(self, key, default, minimum):
+        """An integer that must be >= minimum: a flag below it is a usage
+        error, a config value below it a ConfigError."""
+        value = self.get(key, default, int)
+        if value < minimum:
+            if self._args.get(key) is not None:
+                raise _Usage(f"--{key} must be >= {minimum}, got {value}")
+            raise ConfigError(f"bad value {value} for {key!r} in config; must be >= {minimum}")
+        return value
+
 
 def build_parser():
     parser = _Parser(prog="bandflow")
@@ -139,27 +150,24 @@ def build_parser():
 
 def _cmd_gen_data(args):
     opt = Options(args)
-    seed = opt.get("seed", 0, int)
-    out = Path(opt.get("out", "data", str))
+    seed = opt.at_least("seed", 0, 0)
     task = args.task
+    n = opt.at_least("n", TASKS[task], 1)
+    out = Path(opt.get("out", "data", str))
     out.mkdir(parents=True, exist_ok=True)
     if task == "flow2d":
-        n = opt.get("n", 10000, int)
         pts = gen_flow2d(seed, n)
         np.savetxt(out / "flow2d.csv", pts, delimiter=",", header="x,y", comments="")
     elif task == "accomp-toy":
-        n = opt.get("n", 96, int)
         pairs = gen_toy_pairs(seed, n, n_tags=3)
         np.savez(out / "accomp_toy.npz",
                  v=np.stack([p.v for p in pairs]),
                  a=np.stack([p.a for p in pairs]),
                  tag=np.array([p.tag for p in pairs]))
     elif task == "melody-grammar":
-        n = opt.get("n", 120, int)
         for i, song in enumerate(gen_melody_grammar(seed, n)):
             save_notes(song.notes, out / f"song{i:04d}.notes")
     else:
-        n = opt.get("n", 64, int)
         samples = gen_style_toy(seed, n)
         np.savez(out / "style_toy.npz",
                  phonemes=np.stack([s.phonemes for s in samples]),
@@ -171,7 +179,7 @@ def _cmd_gen_data(args):
 
 def _cmd_train(args):
     opt = Options(args)
-    seed = opt.get("seed", 0, int)
+    seed = opt.at_least("seed", 0, 0)
     out = opt.get("out", f"{args.model}.vbnd", str)
     if args.model == "flow2d":
         steps = opt.get("steps", 1500, int)
@@ -212,8 +220,8 @@ def _cmd_train(args):
 
 def _cmd_sample(args):
     opt = Options(args)
-    seed = opt.get("seed", 0, int)
-    n = opt.get("n", 2000, int)
+    seed = opt.at_least("seed", 0, 0)
+    n = opt.at_least("n", 2000, 1)
     out = opt.get("out", "samples.csv", str)
     trace = [] if opt.get("trace", False, bool) else None
     est = MLPEstimator(2, 64, np.random.default_rng(0))
@@ -286,7 +294,7 @@ def _cmd_eval_f0(args):
 
 def _cmd_route_trace(args):
     opt = Options(args)
-    seed = opt.get("seed", 0, int)
+    seed = opt.at_least("seed", 0, 0)
     out = opt.get("out", "route.csv", str)
     model, _, _, (_, held) = tr.train_accomp(seed=seed, steps=5)
     rows = tr.route_trace_rows(model, held[0])
@@ -297,7 +305,7 @@ def _cmd_route_trace(args):
 
 def _cmd_gradcheck(args):
     opt = Options(args)
-    trials = opt.get("trials", 20, int)
+    trials = opt.at_least("trials", 20, 1)
     worst = gradcheck_all(trials=trials)
     failed = False
     for name in sorted(worst):
@@ -328,6 +336,9 @@ def cli_dispatch(argv):
         return 1
     try:
         return COMMANDS[args.command](args)
+    except _Usage as e:
+        print(f"usage error: {e}", file=sys.stderr)
+        return 1
     except BandflowError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -90,17 +90,28 @@ def euler_sample(estimator, x_init, cond, cfg: FlowConfig, t_start=0.0,
                  null_cond=None, trace=None):
     """Integrate the learned field from t_start to 1 with explicit Euler steps.
 
-    When `null_cond` is given and cfg.cfg_scale != 1, each step evaluates the
-    estimator twice and blends with cfg_field.  `trace`, if a list, collects
+    Each step makes one estimator call.  When `null_cond` is given and
+    cfg.cfg_scale != 1, that call is a stacked pass: x_init must have a
+    leading batch axis [B, ...], `cond` and `null_cond` must be tuples of
+    arrays with one row per sample, and the estimator sees x stacked on
+    itself with the condition rows followed by the null rows; cfg_field
+    blends the two halves of its output.  `trace`, if a list, collects
     (step, t, mean|x|, mean|v|) rows.
     """
     x = x_init if isinstance(x_init, Tensor) else Tensor(np.asarray(x_init, dtype=np.float64))
+    guided = null_cond is not None and cfg.cfg_scale != 1.0
+    if guided:
+        n = x.shape[0]
+        cond = tuple(np.concatenate([np.asarray(c), np.asarray(u)])
+                     for c, u in zip(cond, null_cond, strict=True))
     eps = (1.0 - t_start) / cfg.infer_steps
     for i in range(cfg.infer_steps):
         t = t_start + i * eps
-        v = estimator(x, t, cond)
-        if null_cond is not None and cfg.cfg_scale != 1.0:
-            v = cfg_field(v, estimator(x, t, null_cond), cfg.cfg_scale)
+        if guided:
+            v = estimator(tt.concat([x, x], axis=0), t, cond)
+            v = cfg_field(v[:n], v[n:], cfg.cfg_scale)
+        else:
+            v = estimator(x, t, cond)
         x = tt.add(x, tt.mul(v, eps))
         if not np.isfinite(x.data).all():
             raise NumericError(f"non-finite state at Euler step {i}")

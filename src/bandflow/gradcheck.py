@@ -141,6 +141,13 @@ def _cases(rng):
                                  _t(rng, heads, k, n)]),
         "sdp_shared_kv": (lambda q, k_, v: sdp_attention(q, k_, v),
                           [_t(rng, heads, m, d2), _t(rng, k, d2), _t(rng, k, n)]),
+        "matmul_batched_rows": (lambda a, b: tt.matmul(a, b),
+                                [_t(rng, heads, 1, k), _t(rng, k, n)]),
+        "rope_rotate_batched": (lambda a: rope_rotate(a, heads=heads),
+                                [_t(rng, rows, T, heads * d2)]),
+        "sdp_attention_4d": (lambda q, k_, v: sdp_attention(q, k_, v),
+                             [_t(rng, rows, heads, m, d2), _t(rng, rows, heads, k, d2),
+                              _t(rng, rows, heads, k, n)]),
     }
 
 

@@ -17,6 +17,12 @@ STYLE_TAG_TOKENS = 4           # prompt tokens per style tag
 STYLE_ALIGN_LAYERS = 2         # style-alignment attention layers
 STYLE_RESIDUAL_CHANNELS = 24   # WaveNet estimator width
 STYLE_WAVENET_LAYERS = 3
+# tokens (rows x T) per forward of a batched accomp call.  Over perfbench's
+# generate requests on a 2-vCPU Xeon, 512 ran 3-6% faster than 256 in each of
+# three interleaved rounds, and larger caps were no faster (1024 won one round
+# of three; a T=256 forward is bound by arithmetic) but raised peak RSS from
+# 65 MB to 73 (1024), 82 (2048) and 122 MB (no cap).
+ACCOMP_CHUNK_TOKENS = 512
 
 
 class AccompFlowModel:
@@ -25,8 +31,16 @@ class AccompFlowModel:
     The vocal embedding is added to the noisy input at entry; style-tag
     tokens condition the gated cross-attention and the controlled expert
     group; the final row of the tag table is the learned null condition
-    used for guidance.  Call signature matches the estimator contract:
-    (xt [T, data_dim], t, cond=(v [T, data_dim], tag_id or None)).
+    used for guidance.  Call signature matches the estimator contract,
+    in one of two forms:
+
+    - one clip: (xt [T, data_dim], t, cond=(v [T, data_dim], tag_id or None));
+    - a batch: (xt [B, T, data_dim], t, cond=(v [B, T, data_dim], tags [B])),
+      one tag id per row, where n_tags selects the null condition.
+
+    A batch runs in chunks of at most ACCOMP_CHUNK_TOKENS tokens (rows x T,
+    at least one row each).  Rows never mix, so each row's output equals
+    the one-clip call's.
     """
 
     def __init__(self, rng, n_tags, data_dim=16, width=64, heads=4, blocks=2, experts=4):
@@ -52,10 +66,12 @@ class AccompFlowModel:
         self.state = RouterState()
 
     def tag_tokens_for(self, tag):
-        """Prompt tokens for a tag id; None selects the null condition row."""
-        idx = self.n_tags if tag is None else int(tag)
-        row = tt.gather(self.tag_emb, np.array([idx]))
-        return tt.reshape(row, (ACCOMP_TAG_TOKENS, self.width))
+        """Prompt tokens [ACCOMP_TAG_TOKENS, width] for a tag id, where None
+        selects the null condition row; [B, ACCOMP_TAG_TOKENS, width] for an
+        array of B tag ids."""
+        idx = np.asarray(self.n_tags if tag is None else tag, dtype=np.int64)
+        rows = tt.gather(self.tag_emb, idx.reshape(-1))
+        return tt.reshape(rows, idx.shape + (ACCOMP_TAG_TOKENS, self.width))
 
     def __call__(self, xt, t, cond):
         v, tag = cond
@@ -64,6 +80,19 @@ class AccompFlowModel:
         if x.shape != v.shape:
             raise DimensionError(f"input {x.shape} and vocal track {v.shape} misaligned")
         temb = self.time(float(t))                       # [1, width]
+        if x.ndim == 2:
+            return self._forward(x, temb, v, tag)
+        tags = np.asarray(tag)
+        if x.ndim != 3 or tags.shape != x.shape[:1]:
+            raise DimensionError(
+                f"batched input {x.shape} needs one tag per row, got tags of shape {tags.shape}")
+        rows = max(1, ACCOMP_CHUNK_TOKENS // x.shape[1])
+        if x.shape[0] <= rows:
+            return self._forward(x, temb, v, tags)
+        return tt.concat([self._forward(x[i:i + rows], temb, v[i:i + rows], tags[i:i + rows])
+                          for i in range(0, x.shape[0], rows)], axis=0)
+
+    def _forward(self, x, temb, v, tag):
         z_v = tt.matmul(v, self.w_v)
         z_p = self.tag_tokens_for(tag)
         z_g = global_style(z_p, z_v, temb)

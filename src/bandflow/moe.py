@@ -6,6 +6,11 @@ routed per feature channel by channel statistics.  A dense global gate over
 the time-step embedding blends the first two.  Training uses dense
 (differentiable) gates at temperature tau annealed from 2.0 down to 0.3;
 inference uses hard one-expert routing everywhere except the global gate.
+
+Inputs are [T, d] or carry leading batch axes, [..., T, d].  The two
+token-routed groups flatten a batch to [rows * T, d], so their gates are one
+[rows * T, N] row per token; the acoustic group routes each sample's
+channels by that sample's statistics.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ class RouterState:
 
 
 def gumbel_gate(logits, tau, rng=None, mode="dense"):
-    """Per-row gate weights over experts from routing logits [n, N].
+    """Per-row gate weights over experts from routing logits [..., N].
 
     Dense mode: softmax((logits + gumbel_noise) / tau), differentiable; the
     noise is drawn from `rng`, or zero when `rng` is None.
@@ -53,9 +58,7 @@ def gumbel_gate(logits, tau, rng=None, mode="dense"):
         raise ConfigError(f"temperature must be positive, got {tau}")
     if mode == "hard":
         data = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
-        hard = np.zeros_like(data)
-        hard[np.arange(data.shape[0]), data.argmax(axis=1)] = 1.0
-        return Tensor(hard)
+        return Tensor(np.eye(data.shape[-1])[data.argmax(axis=-1)])
     if mode != "dense":
         raise ConfigError(f"unknown router mode {mode!r}")
     if rng is None:
@@ -113,10 +116,13 @@ class ExpertGroup:
         return out
 
     def mix_channels(self, h, gates):
-        """Per-channel mixture: output[:, c] = sum_j gates[c, j] * expert_j(h)[:, c]."""
+        """Per-channel mixture: output[..., c] = sum_j gates[..., c, j] * expert_j(h)[..., c].
+
+        h: [..., T, d]; gates: [..., d, N], one gate table per sample.
+        """
         out = None
         for j, ex in enumerate(self.experts):
-            term = tt.mul(ex(h), tt.reshape(gates[:, j], (self.d,)))
+            term = tt.mul(ex(h), gates[..., None, :, j])
             out = term if out is None else tt.add(out, term)
         return out
 
@@ -145,19 +151,19 @@ class BandMoE:
     # -- individual routing stages -----------------------------------------
 
     def route_aligned(self, h, z_v, state: RouterState):
-        if h.shape[0] != z_v.shape[0]:
-            raise DimensionError(f"token counts differ: {h.shape[0]} vs {z_v.shape[0]}")
-        logits = tt.matmul(z_v, self.w_aligned)
+        if h.shape[:-1] != z_v.shape[:-1]:
+            raise DimensionError(f"token counts differ: {h.shape[:-1]} vs {z_v.shape[:-1]}")
+        logits = tt.matmul(_tokens(z_v), self.w_aligned)
         gates = gumbel_gate(logits, state.tau, state.rng, state.mode)
         self.last_gates["aligned"] = gates
-        return self.aligned.mix_tokens(h, gates)
+        return _untokens(self.aligned.mix_tokens(_tokens(h), gates), h.shape)
 
     def route_controlled(self, h, z_p, state: RouterState):
         z_sty = sdp_attention(h, z_p, z_p)
-        logits = tt.matmul(z_sty, self.w_controlled)
+        logits = tt.matmul(_tokens(z_sty), self.w_controlled)
         gates = gumbel_gate(logits, state.tau, state.rng, state.mode)
         self.last_gates["controlled"] = gates
-        return self.controlled.mix_tokens(h, gates)
+        return _untokens(self.controlled.mix_tokens(_tokens(h), gates), h.shape)
 
     def global_mix(self, o_aligned, o_controlled, time_vec, state: RouterState):
         """Blend the two token-routed outputs; the global gate stays dense."""
@@ -170,10 +176,11 @@ class BandMoE:
         return tt.add(tt.mul(o_aligned, alpha), tt.mul(o_controlled, beta))
 
     def route_acoustic(self, o_combined, state: RouterState):
-        m = tt.mean(o_combined, axis=0, keepdims=True)                      # [1, d]
-        sq = tt.mean(tt.mul(o_combined, o_combined), axis=0, keepdims=True)
+        m = tt.mean(o_combined, axis=-2, keepdims=True)                     # [..., 1, d]
+        sq = tt.mean(tt.mul(o_combined, o_combined), axis=-2, keepdims=True)
         var = tt.sub(sq, tt.mul(m, m))
-        stats = tt.concat([tt.swapaxes(m, 0, 1), tt.swapaxes(var, 0, 1)], axis=1)  # [d, 2]
+        stats = tt.concat([tt.swapaxes(m, -1, -2), tt.swapaxes(var, -1, -2)],
+                          axis=-1)                                          # [..., d, 2]
         logits = tt.matmul(stats, self.w_acoustic)
         gates = gumbel_gate(logits, state.tau, state.rng, state.mode)
         self.last_gates["acoustic"] = gates
@@ -197,6 +204,16 @@ class BandMoE:
             term = balance_loss(self.last_gates[name], alpha)
             total = term if total is None else tt.add(total, term)
         return total
+
+
+def _tokens(x):
+    """[..., T, d] -> [rows * T, d]; a [T, d] input passes through as it is."""
+    return x if x.ndim == 2 else tt.reshape(x, (-1, x.shape[-1]))
+
+
+def _untokens(x, shape):
+    """Inverse of _tokens for an input of `shape`."""
+    return x if len(shape) == 2 else tt.reshape(x, shape)
 
 
 class PlainBandFFN:

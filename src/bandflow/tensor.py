@@ -373,21 +373,25 @@ def matmul(a, b):
         raise DimensionError(f"matmul expects operands of rank >= 2, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
+    if b.ndim == 2 and a.shape[-2] > 1:
+        # fold a's batch axes into the rows: one GEMM instead of a stack, and
+        # each row's bits are those of the 2-D product.  Lone rows stay a
+        # stack: numpy multiplies a [1, k] matrix with gemv, which rounds
+        # differently from a GEMM over the folded rows
+        rows = a.data.reshape(-1, a.shape[-1])
+        out = (rows @ b.data).reshape(a.shape[:-1] + b.shape[1:])
+        return _make(out, [
+            (a, lambda g: (g.reshape(-1, g.shape[-1]) @ b.data.T).reshape(a.shape)),
+            (b, lambda g: rows.T @ g.reshape(-1, g.shape[-1])),
+        ])
     try:
         np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     except ValueError:
         raise DimensionError(f"matmul batch axes differ: {a.shape} vs {b.shape}") from None
     out = a.data @ b.data
-
-    def grad_b(g):
-        if b.ndim == 2:
-            # fold the batch axes into the rows: one GEMM instead of a stack
-            return a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        return _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-
     return _make(out, [
         (a, lambda g: _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)),
-        (b, grad_b),
+        (b, lambda g: _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)),
     ])
 
 
@@ -535,7 +539,8 @@ def attention(q, k, v, scale):
 
 def rotate_pairs(a, cos, sin):
     """Rotate coordinate pairs (a[..., 2j], a[..., 2j+1]) by angles given as
-    cos/sin tables of shape a.shape[:-1] + (a.shape[-1] // 2,).
+    cos/sin tables whose shape is a trailing part of
+    a.shape[:-1] + (a.shape[-1] // 2,); they broadcast over the leading axes.
 
     The gradient is the incoming gradient rotated by the negated angles.
     """
@@ -543,7 +548,8 @@ def rotate_pairs(a, cos, sin):
     if a.shape[-1] % 2 != 0:
         raise ConfigError(f"pair rotation needs an even width, got {a.shape[-1]}")
     half_shape = a.shape[:-1] + (a.shape[-1] // 2,)
-    if np.shape(cos) != half_shape or np.shape(sin) != half_shape:
+    tail = half_shape[len(half_shape) - np.ndim(cos):]
+    if np.shape(cos) != tail or np.shape(sin) != tail:
         raise DimensionError(
             f"angle tables {np.shape(cos)}, {np.shape(sin)} do not match {half_shape}")
     xe, xo = a.data[..., 0::2], a.data[..., 1::2]

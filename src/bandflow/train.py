@@ -13,7 +13,7 @@ import functools
 import numpy as np
 
 from . import tensor as tt
-from .errors import NumericError
+from .errors import DimensionError, NumericError
 from .flow import FlowConfig, MLPEstimator, cfm_loss, euler_sample, make_flow_sample
 from .melody import MelodyBatch, MelodyModel, melody_loss, NoteSequence
 from .metrics import evaluate_pair, InvalidMetric
@@ -36,7 +36,10 @@ def fit(opt, steps, draws, skip=None):
 
     `draws(step)` yields zero-argument loss functions.  Each runs under its own
     Tape and is backpropagated; their gradients accumulate into one
-    `opt.step` per step, and the step's loss is the mean of theirs.  The
+    `opt.step` per step, and the step's loss is the mean of theirs.  So a
+    pipeline that yields one loss per sample (train_accomp) steps on the sum
+    of the per-sample gradients, not their mean: Adam is nearly invariant to
+    that scale, and averaging would move every accomp checkpoint.  The
     generator is consumed lazily, so draws made inside a forward (routing
     noise) stay interleaved with the data draws.  `skip(step)` may return a
     parameter-name predicate to freeze on that step.
@@ -168,16 +171,27 @@ def train_accomp(seed=0, steps=300, batch=4, lr=2e-3, n_pairs=96, n_tags=3,
 
 
 def eval_accomp(model, held_pairs, n_tags, seed=0, gamma=1.0, infer_steps=25):
-    """Mean Pearson correlation of generated output with the tag-true target."""
+    """Mean Pearson correlation of generated output with the tag-true target,
+    and the per-clip correlations.
+
+    All clips (of one shape) are sampled together: one `euler_sample` over a
+    [clips, T, d] batch, whose guided steps are one stacked cond+null pass.
+    Each clip's start noise is drawn in clip order, as one draw per clip.
+    """
     cfg = FlowConfig(infer_steps=infer_steps, cfg_scale=gamma)
     rng = np.random.default_rng(seed)
     model.state = RouterState(tau=TAU_LOW, mode="hard", rng=None)
+    if len({pair.a.shape for pair in held_pairs}) != 1:
+        raise DimensionError("eval_accomp needs one or more clips of one shape")
+    x0 = np.stack([rng.standard_normal(pair.a.shape) for pair in held_pairs])
+    v = np.stack([pair.v for pair in held_pairs])
+    tags = np.array([pair.tag for pair in held_pairs])
+    gen = euler_sample(model, x0, (v, tags), cfg,
+                       null_cond=(v, np.full(len(tags), model.n_tags)))
     corrs = []
-    for pair in held_pairs:
-        x0 = rng.standard_normal(pair.a.shape)
-        gen = euler_sample(model, x0, (pair.v, pair.tag), cfg, null_cond=(pair.v, None))
+    for g, pair in zip(gen.data, held_pairs):
         target = tag_transform(pair.v, pair.tag, n_tags)
-        corrs.append(float(np.corrcoef(gen.data.ravel(), target.ravel())[0, 1]))
+        corrs.append(float(np.corrcoef(g.ravel(), target.ravel())[0, 1]))
     return float(np.mean(corrs)), corrs
 
 

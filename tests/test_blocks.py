@@ -107,6 +107,21 @@ class TestRope:
             np.testing.assert_array_equal(out[:, sl],
                                           rope_rotate(Tensor(x[:, sl]), positions=pos).data)
 
+    def test_leading_axes_share_the_tables(self):
+        x = np.random.default_rng(6).standard_normal((3, 2, 5, 12))
+        out = rope_rotate(Tensor(x), heads=3).data
+        for i in range(3):
+            for j in range(2):
+                np.testing.assert_array_equal(out[i, j],
+                                              rope_rotate(Tensor(x[i, j]), heads=3).data)
+
+    def test_tables_must_match_trailing_axes(self):
+        cos = np.ones((4, 3))
+        with pytest.raises(DimensionError):
+            tt.rotate_pairs(Tensor(np.zeros((2, 5, 6))), cos, cos)
+        with pytest.raises(DimensionError):
+            tt.rotate_pairs(Tensor(np.zeros((5, 6))), np.ones((2, 5, 3)), np.ones((2, 5, 3)))
+
     def test_cached_tables_equal_fresh(self):
         for T, hd, heads in ((1, 2, 1), (16, 16, 4), (64, 8, 2)):
             cos, sin = _rope_tables(T, hd, heads)

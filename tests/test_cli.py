@@ -106,6 +106,75 @@ class TestConfigResolution:
             pass
 
 
+SEEDED = {
+    "train": ["train", "--model", "flow2d", "--steps", "1"],
+    "gen-data": ["gen-data", "--task", "flow2d", "--n", "100"],
+    "route-trace": ["route-trace"],
+    "sample": ["sample", "--ckpt", "missing.vbnd"],
+}
+
+
+class TestRanges:
+    """A seed below 0 or a count below 1 stops the command before it runs:
+    as a flag it is a usage error (exit 1), in a config file a ConfigError
+    (exit 2), each with one line on stderr and nothing written."""
+
+    @pytest.mark.parametrize("command", sorted(SEEDED))
+    def test_negative_seed_flag_exits_one(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        code, stdout, err = run(SEEDED[command] + ["--seed", "-1", "--out", str(out)], capsys)
+        assert code == 1
+        assert stdout == ""
+        assert err == "usage error: --seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(SEEDED))
+    def test_negative_seed_in_config_exits_two(self, tmp_path, capsys, command):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("seed=-1\n")
+        out = tmp_path / "out"
+        code, stdout, err = run(SEEDED[command] + ["--config", str(cfg), "--out", str(out)],
+                                capsys)
+        assert code == 2
+        assert stdout == ""
+        assert err == "error: bad value -1 for 'seed' in config; must be >= 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("task", ["accomp-toy", "style-toy", "melody-grammar", "flow2d"])
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_gen_data_count_below_one_exits_one(self, tmp_path, capsys, task, n):
+        out = tmp_path / "d"
+        code, stdout, err = run(["gen-data", "--task", task, "--n", n, "--out", str(out)],
+                                capsys)
+        assert code == 1
+        assert stdout == ""
+        assert err == f"usage error: --n must be >= 1, got {n}\n"
+        assert not out.exists()
+
+    def test_gen_data_count_in_config_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("n=0\n")
+        code, _, err = run(["gen-data", "--task", "melody-grammar", "--config", str(cfg),
+                            "--out", str(tmp_path / "d")], capsys)
+        assert code == 2
+        assert err == "error: bad value 0 for 'n' in config; must be >= 1\n"
+
+    def test_sample_count_below_one_exits_one(self, tmp_path, capsys):
+        code, _, err = run(["sample", "--ckpt", "missing.vbnd", "--n", "0"], capsys)
+        assert code == 1
+        assert err == "usage error: --n must be >= 1, got 0\n"
+
+    def test_gradcheck_zero_trials_exits_one(self, capsys):
+        code, stdout, err = run(["gradcheck", "--trials", "0"], capsys)
+        assert code == 1
+        assert stdout == ""
+        assert err == "usage error: --trials must be >= 1, got 0\n"
+
+    def test_zero_seed_is_accepted(self, tmp_path, capsys):
+        code, _, _ = run(SEEDED["gen-data"] + ["--seed", "0", "--out", str(tmp_path)], capsys)
+        assert code == 0
+
+
 class TestConfigBooleans:
     def _options(self, tmp_path, text):
         cfg = tmp_path / "c.cfg"

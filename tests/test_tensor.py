@@ -58,6 +58,15 @@ class TestBatchedMatmul:
         np.testing.assert_allclose(ga, np.broadcast_to(b.data.sum(axis=1), (3, 4, 5)))
         np.testing.assert_allclose(gb, np.broadcast_to(a.data.sum(axis=(0, 1))[:, None], (5, 2)))
 
+    def test_rows_equal_two_d_products_bitwise(self):
+        rng = np.random.default_rng(3)
+        b = rng.standard_normal((16, 8))
+        for rows in (1, 5):
+            a = rng.standard_normal((3, rows, 16))
+            out = tt.matmul(Tensor(a), Tensor(b)).data
+            for i in range(3):
+                np.testing.assert_array_equal(out[i], tt.matmul(Tensor(a[i]), Tensor(b)).data)
+
     def test_mismatch_rejected(self):
         with pytest.raises(DimensionError, match="inner"):
             tt.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4))))

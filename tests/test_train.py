@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import bandflow.tensor as tt
+import bandflow.train as train_module
 
 from bandflow.checkpoint import load_checkpoint, load_into, save_checkpoint
 from bandflow.errors import NumericError
@@ -9,7 +10,7 @@ from bandflow.flow import FlowConfig, FlowSample, cfm_loss
 from bandflow.models import StylePredictorModel
 from bandflow.optim import Adam
 from bandflow.synth import gen_style_toy
-from bandflow.tensor import ParameterStore
+from bandflow.tensor import ParameterStore, Tape, backward
 from bandflow.train import (
     fit,
     flow2d_mode_stats,
@@ -164,6 +165,51 @@ class TestAccompPipeline:
         out = tmp_path / "route.csv"
         write_csv(out, ["group", "unit", "expert", "entropy", "tau", "t"], rows)
         assert out.read_text().splitlines()[0] == "group,unit,expert,entropy,tau,t"
+
+
+class TestAccompGradientSum:
+    """train_accomp sums the gradients of its `batch` tapes into one step and
+    logs the mean of their losses."""
+
+    KW = dict(seed=0, steps=1, batch=3, n_pairs=12, n_tags=3, T=16, data_dim=8,
+              width=16, experts=2, blocks=1, holdout=4)
+
+    def test_step_gradient_is_sum_and_loss_is_mean(self, monkeypatch):
+        stepped = {}
+
+        class Recorder:
+            def __init__(self, params, lr):
+                self.params = params
+
+            def step(self, skip=None):
+                stepped.update((n, t.grad.copy()) for n, t in self.params.items())
+
+            def zero_grad(self):
+                self.params.zero_grad()
+
+        monkeypatch.setattr(train_module, "Adam", Recorder)
+        _, losses, _, _ = train_accomp(**self.KW)
+
+        per_sample = []
+
+        def fit_per_sample(opt, steps, draws, skip=None):
+            # the same draws in the same order, one gradient snapshot per tape
+            for build in draws(0):
+                with Tape():
+                    loss = build()
+                    backward(loss)
+                per_sample.append((loss.item(), {n: t.grad.copy() for n, t in opt.params.items()}))
+                opt.zero_grad()
+            return []
+
+        monkeypatch.setattr(train_module, "fit", fit_per_sample)
+        train_accomp(**self.KW)
+        assert len(per_sample) == 3
+        assert losses == [sum(loss for loss, _ in per_sample) / 3]
+        for name, grad in stepped.items():
+            total = per_sample[0][1][name] + per_sample[1][1][name] + per_sample[2][1][name]
+            np.testing.assert_allclose(grad, total, rtol=1e-12, atol=1e-14, err_msg=name)
+        assert max(np.abs(g).max() for g in stepped.values()) > 0
 
 
 class TestMelodyPipeline:
