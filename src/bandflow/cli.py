@@ -201,7 +201,7 @@ def _cmd_train(args):
     tr.write_csv(str(Path(out).with_suffix(".losses.csv")), ["step", "loss"],
                  list(enumerate(losses)))
     if args.model == "accomp":
-        corr, _ = tr.eval_accomp(model, held, n_tags=3, seed=seed, gamma=gamma)
+        corr, _ = tr.eval_accomp(model, held, n_tags=model.n_tags, seed=seed, gamma=gamma)
         print(f"held-out correlation (gamma={gamma:g}): {corr:.4f}")
         if trace:
             rows = tr.route_trace_rows(model, held[0])
@@ -224,7 +224,7 @@ def _cmd_sample(args):
     n = opt.at_least("n", 2000, 1)
     out = opt.get("out", "samples.csv", str)
     trace = [] if opt.get("trace", False, bool) else None
-    est = MLPEstimator(2, 64, np.random.default_rng(0))
+    est = MLPEstimator(2, tr.FLOW2D_HIDDEN, np.random.default_rng(0))
     load_into(est.params, args.ckpt)
     samples = tr.sample_flow2d(est, n, seed=seed, trace=trace)
     np.savetxt(out, samples, delimiter=",", header="x,y", comments="")

@@ -183,7 +183,7 @@ class MelodyModel:
             raise BoundsError(f"tag id {batch.tag} out of range [0, {self.n_tags})")
         n = len(ids)
         d = self.width
-        h = tt.embedding_lookup(self.phoneme_emb, ids)
+        h = tt.gather(self.phoneme_emb, ids)
         h = tt.add(h, positional_encoding(n, d))
         tag_row = tt.gather(self.tag_emb, np.array([batch.tag]))
         z_p = tt.reshape(tag_row, (MELODY_TAG_TOKENS, d))

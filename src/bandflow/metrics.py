@@ -250,8 +250,9 @@ def melody_distance(gen: NoteSequence, gt: NoteSequence):
     return dtw_distance(a - a.mean(), b - b.mean())
 
 
-def f0_frame_error(gen, gt, deviation=F0_DEVIATION):
-    """Fraction of frames with a voicing error or >deviation relative F0 error."""
+def f0_frame_error(gen, gt):
+    """Fraction of frames with a voicing error or a relative F0 error above
+    F0_DEVIATION."""
     gen = np.asarray(gen, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
     if gen.shape != gt.shape:
@@ -261,7 +262,7 @@ def f0_frame_error(gen, gt, deviation=F0_DEVIATION):
     voicing_err = vg != vt
     both = vg & vt
     pitch_err = np.zeros_like(voicing_err)
-    pitch_err[both] = np.abs(gen[both] - gt[both]) > deviation * gt[both]
+    pitch_err[both] = np.abs(gen[both] - gt[both]) > F0_DEVIATION * gt[both]
     return float((voicing_err | pitch_err).mean())
 
 

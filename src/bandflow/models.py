@@ -106,8 +106,7 @@ class AccompFlowModel:
         total = None
         for moe in self.moes:
             term = moe.balance()
-            if term is not None:
-                total = term if total is None else tt.add(total, term)
+            total = term if total is None else tt.add(total, term)
         return total
 
     def use_plain_ffn(self):
@@ -148,7 +147,7 @@ class StylePredictorModel:
 
     def condition(self, phonemes, tag, vocal_prompt=True):
         ids = np.asarray(phonemes, dtype=np.int64)
-        z_ct = tt.embedding_lookup(self.phoneme_emb, ids)
+        z_ct = tt.gather(self.phoneme_emb, ids)
         z_ct = tt.add(z_ct, tt.gather(self.vocal_emb, np.array([1 if vocal_prompt else 0])))
         idx = self.n_tags if tag is None else int(tag)
         z_p = tt.reshape(tt.gather(self.tag_emb, np.array([idx])),

@@ -199,8 +199,6 @@ class BandMoE:
         """Sum of balance losses over the three hard-routable groups."""
         total = None
         for name in ("aligned", "controlled", "acoustic"):
-            if name not in self.last_gates:
-                continue
             term = balance_loss(self.last_gates[name], alpha)
             total = term if total is None else tt.add(total, term)
         return total

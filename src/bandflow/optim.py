@@ -7,6 +7,7 @@ import numpy as np
 from .tensor import ParameterStore
 
 ADAM_BETAS = (0.9, 0.98)
+ADAM_EPS = 1e-8
 
 
 def sgd_step(store: ParameterStore, lr: float) -> None:
@@ -18,11 +19,10 @@ def sgd_step(store: ParameterStore, lr: float) -> None:
 class Adam:
     """Adam with bias correction; state keyed by parameter name."""
 
-    def __init__(self, store: ParameterStore, lr=1e-3, betas=ADAM_BETAS, eps=1e-8):
+    def __init__(self, store: ParameterStore, lr=1e-3):
         self.store = store
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
+        self.beta1, self.beta2 = ADAM_BETAS
         self.t = 0
         self._m = {name: np.zeros_like(p.data) for name, p in store.items()}
         self._v = {name: np.zeros_like(p.data) for name, p in store.items()}
@@ -42,7 +42,7 @@ class Adam:
             m += (1.0 - b1) * p.grad
             v *= b2
             v += (1.0 - b2) * p.grad * p.grad
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
     def zero_grad(self):
         self.store.zero_grad()

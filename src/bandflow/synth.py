@@ -19,6 +19,10 @@ FLOW2D_SIGMA = 0.3
 MAJOR_SCALE = np.array([0, 2, 4, 5, 7, 9, 11])
 GRAMMAR_TEMPI = (90.0, 120.0)
 GRAMMAR_BASE_PITCH = 60
+GRAMMAR_SONG_NOTES = 16
+SMOOTH_WIDTH = 5             # moving-average window of the toy vocal tracks
+STYLE_TOY_PHONEMES = 16      # phonemes per style-toy sample
+STYLE_TOY_CHANNELS = 8       # channels of a style-toy target field
 
 
 def gen_flow2d(seed, n):
@@ -37,12 +41,12 @@ class ToyPair:
     tag: int
 
 
-def _smooth(x, width=5):
-    kernel = np.ones(width) / width
-    pad = width // 2
+def _smooth(x):
+    kernel = np.ones(SMOOTH_WIDTH) / SMOOTH_WIDTH
+    pad = SMOOTH_WIDTH // 2
     xp = np.pad(x, ((pad, pad), (0, 0)), mode="edge")
     out = np.zeros_like(x)
-    for k in range(width):
+    for k in range(SMOOTH_WIDTH):
         out += kernel[k] * xp[k:k + x.shape[0]]
     return out
 
@@ -78,7 +82,7 @@ class MelodySample:
     notes: NoteSequence
 
 
-def gen_melody_grammar(seed, n_songs, length=16):
+def gen_melody_grammar(seed, n_songs):
     """Diatonic major-scale songs; pitch = tonic + scale[degree] + 60.
 
     The phoneme id carries the scale degree and the tag carries the key, so
@@ -91,7 +95,7 @@ def gen_melody_grammar(seed, n_songs, length=16):
         tempo = float(GRAMMAR_TEMPI[int(rng.integers(len(GRAMMAR_TEMPI)))])
         degree = int(rng.integers(7))
         degrees = []
-        for _ in range(length):
+        for _ in range(GRAMMAR_SONG_NOTES):
             degrees.append(degree)
             degree = int(np.clip(degree + rng.integers(-2, 3), 0, 6))
         degrees = np.asarray(degrees)
@@ -112,14 +116,14 @@ class StyleSample:
     x1: np.ndarray         # target style field [channels, P]
 
 
-def gen_style_toy(seed, n, n_tags=4, n_phonemes=8, P=16, channels=8):
+def gen_style_toy(seed, n, n_tags=4, n_phonemes=8):
     """Phoneme-level style targets: a fixed random table per (tag, phoneme)."""
     rng = np.random.default_rng(seed)
-    tables = rng.standard_normal((n_tags, n_phonemes, channels))
+    tables = rng.standard_normal((n_tags, n_phonemes, STYLE_TOY_CHANNELS))
     samples = []
     for _ in range(n):
         tag = int(rng.integers(n_tags))
-        phon = rng.integers(n_phonemes, size=P)
+        phon = rng.integers(n_phonemes, size=STYLE_TOY_PHONEMES)
         x1 = tables[tag, phon].T.copy()
         samples.append(StyleSample(phonemes=phon.astype(np.int64), tag=tag, x1=x1))
     return samples

@@ -30,7 +30,6 @@ __all__ = [
     "sub",
     "mul",
     "div",
-    "neg",
     "matmul",
     "swapaxes",
     "rotate_pairs",
@@ -55,7 +54,6 @@ __all__ = [
     "cross_entropy",
     "mse",
     "gather",
-    "embedding_lookup",
 ]
 
 RMSNORM_EPS = 1e-6
@@ -101,40 +99,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, p):
-        return pow_(self, p)
 
     def __getitem__(self, key):
         return getitem(self, key)
@@ -297,18 +261,6 @@ def div(a, b):
         (a, lambda g: _unbroadcast(g / b.data, a.shape)),
         (b, lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.shape)),
     ])
-
-
-def neg(a):
-    a = _as_tensor(a)
-    return _make(-a.data, [(a, lambda g: -g)])
-
-
-def pow_(a, p):
-    a = _as_tensor(a)
-    p = float(p)
-    out = a.data ** p
-    return _make(out, [(a, lambda g: g * p * a.data ** (p - 1.0))])
 
 
 def exp(a):
@@ -702,30 +654,20 @@ def mse(a, b):
     return mean(mul(d, d))
 
 
-def gather(a, indices, axis=0):
-    """Select rows (or slices along `axis`) by integer index."""
+def gather(a, indices):
+    """Select rows of `a` by integer index; scatter-add gradient."""
     a = _as_tensor(a)
     idx = np.asarray(indices, dtype=np.int64)
-    if idx.min(initial=0) < 0 or idx.max(initial=-1) >= a.shape[axis]:
-        raise BoundsError(f"gather index out of range [0, {a.shape[axis]})")
-    out = np.take(a.data, idx, axis=axis).copy()
+    if idx.min(initial=0) < 0 or idx.max(initial=-1) >= a.shape[0]:
+        raise BoundsError(f"gather index out of range [0, {a.shape[0]})")
+    out = np.take(a.data, idx, axis=0)
 
     def grad_fn(g):
         buf = np.zeros_like(a.data)
-        if axis == 0:
-            np.add.at(buf, idx, g)
-        else:
-            key = [slice(None)] * a.ndim
-            key[axis] = idx
-            np.add.at(buf, tuple(key), g)
+        np.add.at(buf, idx, g)
         return buf
 
     return _make(out, [(a, grad_fn)])
-
-
-def embedding_lookup(table, ids):
-    """table[V, d] rows selected by integer ids; scatter-add gradient."""
-    return gather(table, ids, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -750,12 +692,6 @@ class ParameterStore:
     def __getitem__(self, name):
         return self._params[name]
 
-    def __contains__(self, name):
-        return name in self._params
-
-    def __len__(self):
-        return len(self._params)
-
     def names(self):
         return sorted(self._params)
 
@@ -771,9 +707,8 @@ class ParameterStore:
         for t in self.tensors():
             t.zero_grad()
 
-    def merge(self, other, prefix=""):
+    def merge(self, other):
         for name, t in other.items():
-            key = f"{prefix}{name}" if prefix else name
-            if key in self._params:
-                raise StateError(f"duplicate parameter name {key!r}")
-            self._params[key] = t
+            if name in self._params:
+                raise StateError(f"duplicate parameter name {name!r}")
+            self._params[name] = t

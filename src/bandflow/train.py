@@ -24,6 +24,16 @@ from .synth import gen_flow2d, gen_melody_grammar, gen_style_toy, gen_toy_pairs,
 from .tensor import Tape, Tensor, backward
 
 ROUTE_COLUMNS = ("group", "unit", "expert", "entropy", "tau", "t")
+ROUTE_TRACE_T = 0.5          # flow time of the routing-trace pass
+
+FLOW2D_DATA_N = 10000        # points in the 2-D mixture dataset
+FLOW2D_HIDDEN = 64           # hidden width of the 2-D flow's MLP estimator
+
+STYLE_BATCH = 4
+STYLE_SAMPLES = 64           # style-toy dataset size
+STYLE_TAGS = 4
+STYLE_VOCAL_DROP = 0.2       # chance a sample trains with the vocal prompt dropped
+STYLE_TEXT_DROP = 0.1        # chance a sample trains with the null tag
 
 
 def _check_finite(value, step):
@@ -70,12 +80,11 @@ def write_csv(path, header, rows):
 # ---------------------------------------------------------------------------
 # 2-D mixture flow
 
-def train_flow2d(seed=0, steps=1500, batch=256, lr=2e-3, data_n=10000,
-                 hidden=64, flow_cfg=None):
-    cfg = flow_cfg or FlowConfig(train_timesteps=100, cfg_scale=1.0)
-    data = gen_flow2d(seed, data_n)
+def train_flow2d(seed=0, steps=1500, batch=256, lr=2e-3):
+    cfg = FlowConfig(train_timesteps=100, cfg_scale=1.0)
+    data = gen_flow2d(seed, FLOW2D_DATA_N)
     rng = np.random.default_rng(seed + 1)
-    est = MLPEstimator(2, hidden, rng)
+    est = MLPEstimator(2, FLOW2D_HIDDEN, rng)
 
     def draws(step):
         idx = rng.integers(len(data), size=batch)
@@ -111,21 +120,19 @@ def flow2d_mode_stats(samples):
 # ---------------------------------------------------------------------------
 # style predictor
 
-def train_style_predictor(seed=0, steps=200, batch=4, lr=3e-3, n_samples=64,
-                          n_tags=4, warmup_steps=0, vocal_drop=0.2, text_drop=0.1,
-                          flow_cfg=None):
-    cfg = flow_cfg or FlowConfig(train_timesteps=100)
-    data = gen_style_toy(seed, n_samples, n_tags=n_tags)
+def train_style_predictor(seed=0, steps=200, warmup_steps=0):
+    cfg = FlowConfig(train_timesteps=100)
+    data = gen_style_toy(seed, STYLE_SAMPLES, n_tags=STYLE_TAGS)
     rng = np.random.default_rng(seed + 1)
-    model = StylePredictorModel(rng, n_tags=n_tags, n_phonemes=8,
+    model = StylePredictorModel(rng, n_tags=STYLE_TAGS, n_phonemes=8,
                                 channels=data[0].x1.shape[0])
 
     def draws(step):
         samples, conds = [], []
-        for _ in range(batch):
+        for _ in range(STYLE_BATCH):
             s = data[int(rng.integers(len(data)))]
-            tag = None if rng.uniform() < text_drop else s.tag
-            vocal = rng.uniform() >= vocal_drop
+            tag = None if rng.uniform() < STYLE_TEXT_DROP else s.tag
+            vocal = rng.uniform() >= STYLE_VOCAL_DROP
             samples.append(make_flow_sample(s.x1, rng, cfg))
             conds.append((s.phonemes, tag, vocal))
         yield lambda: cfm_loss(model, samples, conds)
@@ -133,7 +140,7 @@ def train_style_predictor(seed=0, steps=200, batch=4, lr=3e-3, n_samples=64,
     def frozen(name):
         return name.startswith("wavenet")
 
-    losses = fit(Adam(model.params, lr=lr), steps, draws,
+    losses = fit(Adam(model.params, lr=3e-3), steps, draws,
                  skip=lambda step: frozen if step < warmup_steps else None)
     return model, losses, cfg
 
@@ -141,10 +148,10 @@ def train_style_predictor(seed=0, steps=200, batch=4, lr=3e-3, n_samples=64,
 # ---------------------------------------------------------------------------
 # accompaniment flow with the expert groups
 
-def train_accomp(seed=0, steps=300, batch=4, lr=2e-3, n_pairs=96, n_tags=3,
+def train_accomp(seed=0, steps=300, batch=4, n_pairs=96, n_tags=3,
                  T=64, data_dim=16, width=64, experts=4, blocks=2,
-                 holdout=16, flow_cfg=None):
-    cfg = flow_cfg or FlowConfig(train_timesteps=1000)
+                 holdout=16):
+    cfg = FlowConfig(train_timesteps=1000)
     pairs = gen_toy_pairs(seed, n_pairs, n_tags, T=T, d=data_dim)
     train_pairs, held = pairs[:-holdout], pairs[-holdout:]
     rng = np.random.default_rng(seed + 1)
@@ -152,9 +159,7 @@ def train_accomp(seed=0, steps=300, batch=4, lr=2e-3, n_pairs=96, n_tags=3,
                             experts=experts, blocks=blocks)
 
     def loss_with_balance(sample, cond):
-        loss = cfm_loss(model, [sample], [cond])
-        bal = model.balance()
-        return loss if bal is None else tt.add(loss, bal)
+        return tt.add(cfm_loss(model, [sample], [cond]), model.balance())
 
     def draws(step):
         # dense routing draws its Gumbel noise from `rng` during each forward
@@ -166,7 +171,7 @@ def train_accomp(seed=0, steps=300, batch=4, lr=2e-3, n_pairs=96, n_tags=3,
             sample = make_flow_sample(pair.a, rng, cfg)
             yield functools.partial(loss_with_balance, sample, (pair.v, tag))
 
-    losses = fit(Adam(model.params, lr=lr), steps, draws)
+    losses = fit(Adam(model.params, lr=2e-3), steps, draws)
     return model, losses, cfg, (train_pairs, held)
 
 
@@ -195,25 +200,27 @@ def eval_accomp(model, held_pairs, n_tags, seed=0, gamma=1.0, infer_steps=25):
     return float(np.mean(corrs)), corrs
 
 
-def route_trace_rows(model, pair, t=0.5, tau=TAU_LOW, mode="hard"):
-    """(group, unit, chosen expert, gate entropy, tau, t) rows from one pass."""
-    model.state = RouterState(tau=tau, mode=mode, rng=None)
+def route_trace_rows(model, pair):
+    """(group, unit, chosen expert, gate entropy, tau, t) rows from one
+    hard-routed pass at t = ROUTE_TRACE_T."""
+    model.state = RouterState(tau=TAU_LOW, mode="hard", rng=None)
     x = np.zeros(pair.a.shape)
-    model(Tensor(x), t, (pair.v, pair.tag))
+    model(Tensor(x), ROUTE_TRACE_T, (pair.v, pair.tag))
     rows = []
     for b, moe in enumerate(model.moes):
         for group, gates in sorted(moe.last_gates.items()):
             g = gates.data
             ent = gate_entropy(g)
             for unit in range(g.shape[0]):
-                rows.append((f"b{b}.{group}", unit, int(g[unit].argmax()), ent, tau, t))
+                rows.append((f"b{b}.{group}", unit, int(g[unit].argmax()), ent,
+                             TAU_LOW, ROUTE_TRACE_T))
     return rows
 
 
 # ---------------------------------------------------------------------------
 # melody model
 
-def train_melody(seed=0, steps=400, batch=8, lr=3e-3, n_songs=120, holdout=20,
+def train_melody(seed=0, steps=400, batch=8, n_songs=120, holdout=20,
                  width=64, layers=2):
     songs = gen_melody_grammar(seed, n_songs)
     train_songs, held = songs[:-holdout], songs[-holdout:]
@@ -230,7 +237,7 @@ def train_melody(seed=0, steps=400, batch=8, lr=3e-3, n_songs=120, holdout=20,
             loss = term if loss is None else tt.add(loss, term)
         return tt.mul(loss, 1.0 / batch)
 
-    losses = fit(Adam(model.params, lr=lr), steps, lambda step: [batch_loss])
+    losses = fit(Adam(model.params, lr=3e-3), steps, lambda step: [batch_loss])
     return model, losses, (train_songs, held)
 
 

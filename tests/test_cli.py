@@ -60,6 +60,15 @@ class TestGenData:
         data = np.load(out / "accomp_toy.npz")
         assert data["v"].shape[0] == 4
 
+    def test_style_toy_npz(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        code, stdout, _ = run(["gen-data", "--task", "style-toy", "--n", "3",
+                               "--out", str(out)], capsys)
+        assert code == 0
+        assert stdout == f"wrote style-toy dataset to {out}\n"
+        data = np.load(out / "style_toy.npz")
+        assert data["phonemes"].shape[0] == data["tag"].shape[0] == data["x1"].shape[0] == 3
+
 
 class TestConfigResolution:
     def test_config_file_supplies_values_and_flags_override(self, tmp_path, capsys):
@@ -84,6 +93,14 @@ class TestConfigResolution:
         assert code == 2
         assert "error" in err.lower()
 
+    def test_non_integer_config_value_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("steps=abc\n")
+        code, out, err = run(["train", "--model", "flow2d", "--config", str(cfg),
+                              "--out", str(tmp_path / "f.vbnd")], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: bad value 'abc' for 'steps' in config\n"
 
     def test_non_utf8_config_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -261,6 +278,27 @@ class TestTrainAndSample:
                    for p in (ck.with_suffix(".route.csv"), route)]
         assert headers == [",".join(ROUTE_COLUMNS)] * 2
 
+    @pytest.mark.parametrize("model", ["style", "melody"])
+    def test_train_from_config_writes_outputs(self, tmp_path, capsys, model):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("steps=2\n")
+        ck = tmp_path / f"{model}.vbnd"
+        code, out, err = run(["train", "--model", model, "--config", str(cfg),
+                              "--out", str(ck)], capsys)
+        assert code == 0
+        assert err == ""
+        assert ck.exists()
+        assert len(ck.with_suffix(".losses.csv").read_text().splitlines()) == 1 + 2
+        lines = out.splitlines()
+        assert lines[-1] == f"checkpoint: {ck}"
+        if model == "melody":
+            assert ck.with_suffix(".report.csv").exists()
+            assert len(lines) == 3
+            assert lines[0].startswith("held-out pitch accuracy: ")
+            assert lines[1].startswith("mean report: KA=")
+        else:
+            assert len(lines) == 1
+
     def test_sample_missing_checkpoint_exits_two(self, tmp_path, capsys):
         code, _, err = run(["sample", "--ckpt", str(tmp_path / "none.vbnd")], capsys)
         assert code == 2
@@ -350,6 +388,19 @@ class TestEvalMelody:
         assert code == 2
         assert out == ""
         assert err == f"error: {gen}: line 3: pitch -1 outside [0, 127]; a rest is written R\n"
+
+    def test_no_valid_pairs_exits_two(self, tmp_path, capsys):
+        # a flat pitch-class histogram (all twelve classes, equal durations)
+        # has no key correlation, so every pair is skipped
+        d = tmp_path / "flat"
+        d.mkdir()
+        for i in range(2):
+            save_notes(NoteSequence(pitches=list(range(60 + i, 72 + i)), durations=[1.0] * 12,
+                                    tempo=120.0), d / f"song{i}.notes")
+        code, out, err = run(["eval-melody", str(d), str(d)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: no valid song pairs\n"
 
 
 class TestEvalF0:

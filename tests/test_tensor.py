@@ -1,4 +1,5 @@
 import gc
+import inspect
 import weakref
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bandflow.tensor as tt
+from bandflow import gradcheck
 from bandflow.errors import (
     BoundsError,
     ConfigError,
@@ -283,6 +285,26 @@ class TestParameterStore:
 def test_public_names_resolve():
     missing = [name for name in tt.__all__ if not hasattr(tt, name)]
     assert missing == []
+
+
+def test_gradcheck_cases_reach_every_op(monkeypatch):
+    """Each differentiable op in tensor.__all__ runs in some gradcheck case,
+    directly or inside another op."""
+    ops = [name for name in tt.__all__
+           if inspect.isfunction(getattr(tt, name)) and name != "backward"]
+    reached = set()
+
+    def recorder(name, fn):
+        def wrapped(*args, **kwargs):
+            reached.add(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ops:
+        monkeypatch.setattr(tt, name, recorder(name, getattr(tt, name)))
+    for fn, inputs in gradcheck._cases(np.random.default_rng(0)).values():
+        fn(*inputs)
+    assert sorted(set(ops) - reached) == []
 
 
 def test_broadcast_new_shape_rejected():
