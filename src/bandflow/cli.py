@@ -24,7 +24,8 @@ from .metrics import REPORT_COLUMNS, evaluate_pair, f0_frame_error, InvalidMetri
 from .synth import gen_flow2d, gen_melody_grammar, gen_style_toy, gen_toy_pairs
 
 # task -> the number of items it writes by default
-TASKS = {"flow2d": 10000, "accomp-toy": 96, "melody-grammar": 120, "style-toy": 64}
+TASKS = {"flow2d": tr.FLOW2D_DATA_N, "accomp-toy": tr.ACCOMP_PAIRS,
+         "melody-grammar": tr.MELODY_SONGS, "style-toy": tr.STYLE_SAMPLES}
 MODELS = ("flow2d", "style", "accomp", "melody")
 
 
@@ -159,7 +160,7 @@ def _cmd_gen_data(args):
         pts = gen_flow2d(seed, n)
         np.savetxt(out / "flow2d.csv", pts, delimiter=",", header="x,y", comments="")
     elif task == "accomp-toy":
-        pairs = gen_toy_pairs(seed, n, n_tags=3)
+        pairs = gen_toy_pairs(seed, n, n_tags=tr.ACCOMP_TAGS)
         np.savez(out / "accomp_toy.npz",
                  v=np.stack([p.v for p in pairs]),
                  a=np.stack([p.a for p in pairs]),
@@ -168,7 +169,7 @@ def _cmd_gen_data(args):
         for i, song in enumerate(gen_melody_grammar(seed, n)):
             save_notes(song.notes, out / f"song{i:04d}.notes")
     else:
-        samples = gen_style_toy(seed, n)
+        samples = gen_style_toy(seed, n, n_tags=tr.STYLE_TAGS)
         np.savez(out / "style_toy.npz",
                  phonemes=np.stack([s.phonemes for s in samples]),
                  tag=np.array([s.tag for s in samples]),

@@ -31,7 +31,12 @@ NOTE_NAMES = {"C": 0, "C#": 1, "DB": 1, "D": 2, "D#": 3, "EB": 3, "E": 4, "F": 5
               "F#": 6, "GB": 6, "G": 7, "G#": 8, "AB": 8, "A": 9, "A#": 10,
               "BB": 10, "B": 11}
 
+MODES = ("major", "minor")
+
 REPORT_COLUMNS = ("KA", "APD", "TD", "PD", "DD", "MD")
+
+# np.cov's 1 / (observations - ddof) factor for a 12-bin histogram
+_COV_SCALE = np.true_divide(1, 11)
 
 
 class InvalidMetric(BandflowError):
@@ -62,7 +67,9 @@ class KeyProfileTable:
                 raise DataError(f"{mode} profile must have 12 entries")
         self._rotated = {(tonic, mode): np.roll(self.base[mode], tonic)
                          for tonic, mode in self.keys()}
-        for prof in self._rotated.values():
+        # Centred one rotation at a time: rotating a profile reorders its sum.
+        self._centred = {k: _centre(prof) for k, prof in self._rotated.items()}
+        for prof in (*self._rotated.values(), *self._centred.values()):
             prof.flags.writeable = False
 
     @classmethod
@@ -82,20 +89,30 @@ class KeyProfileTable:
         return self._rotated[tonic % 12, mode]
 
     def keys(self):
-        for mode in ("major", "minor"):
+        for mode in MODES:
             for tonic in range(12):
                 yield tonic, mode
 
 
 def parse_key(key):
-    """Accepts (tonic, mode) or strings like 'C major' / 'f# minor'."""
+    """Accepts (tonic, mode) or strings like 'C major' / 'f# minor'; any
+    other key is a DataError that names it."""
     if isinstance(key, tuple):
-        return int(key[0]) % 12, key[1]
-    name, mode = key.split()
-    tonic = NOTE_NAMES.get(name.strip().upper())
-    if tonic is None:
-        raise DataError(f"unknown note name {name!r}")
-    return tonic, mode.strip().lower()
+        if len(key) != 2 or key[1] not in MODES:
+            raise DataError(f"bad key {key!r}; expected (tonic, 'major' or 'minor')")
+        try:
+            return int(key[0]) % 12, key[1]
+        except (TypeError, ValueError):
+            raise DataError(f"bad key {key!r}; the tonic must be an integer") from None
+    parts = key.split() if isinstance(key, str) else ()
+    if len(parts) != 2:
+        raise DataError(f"bad key {key!r}; expected a note name and a mode")
+    name, mode = parts[0].upper(), parts[1].lower()
+    if name not in NOTE_NAMES:
+        raise DataError(f"unknown note name {parts[0]!r} in key {key!r}")
+    if mode not in MODES:
+        raise DataError(f"unknown mode {parts[1]!r} in key {key!r}; expected major or minor")
+    return NOTE_NAMES[name], mode
 
 
 def pitch_class_histogram(notes: NoteSequence):
@@ -116,25 +133,62 @@ def _checked_histogram(notes):
     return hist
 
 
+def _centre(values):
+    """A 12-vector minus its mean, as np.cov centres one row of its input."""
+    row = values[None, :]
+    return (row - row.mean(axis=1)[:, None])[0]
+
+
+def _key_scores(hist, table, keys):
+    """Yields, for each key, the correlation np.corrcoef gives for hist and
+    table.profile(*key), bitwise, without np.cov's argument handling.
+
+    The histogram is centred once and each key's profile comes centred from
+    the table; each key then gets np.cov's own 2x2 symmetric product of
+    [hist; profile], its scaling, and np.corrcoef's two divisions and clip.
+    Keys are never stacked into one product: that rounds differently and
+    moves the winners of exact ties.  The scalar steps stay on np.float64,
+    so a zero variance gives nan or inf as np.corrcoef does.
+    """
+    x = np.empty((2, 12))
+    x[0] = _centre(hist)
+    for key in keys:
+        x[1] = table._centred[key]
+        c = np.dot(x, x.T)
+        c *= _COV_SCALE
+        r = c[0, 1] / np.sqrt(c[0, 0]) / np.sqrt(c[1, 1])
+        if r > 1.0:
+            r = 1.0
+        elif r < -1.0:
+            r = -1.0
+        yield float(r)
+
+
 def key_correlation(notes: NoteSequence, key):
     """Pearson correlation of the duration-weighted pitch-class histogram
-    with the key's reference profile."""
-    tonic, mode = parse_key(key)
+    with the key's reference profile.
+
+    Bitwise np.corrcoef's value: the song is centred once, then the key
+    costs one 2x12 product (see _key_scores).
+    """
+    key = parse_key(key)
     hist = _checked_histogram(notes)
-    return float(np.corrcoef(hist, _default_table().profile(tonic, mode))[0, 1])
+    return next(_key_scores(hist, _default_table(), (key,)))
 
 
 def best_key(notes: NoteSequence):
     """Most correlated of the 24 keys; a tie goes to the larger (tonic, mode).
 
-    Each key gets its own ``np.corrcoef`` call, not one row of a 24x12
-    product: rotations of a histogram can tie exactly, and the winner of a
-    tie must not depend on how the sums were rounded.
+    The song's histogram is built and centred once; each key then costs one
+    2x12 product, whose score is bitwise np.corrcoef's (see _key_scores).
+    Each key gets its own product, not one row of a 24x12 product: rotations
+    of a histogram can tie exactly, and the winner of a tie must not depend
+    on how the sums were rounded.
     """
     hist = _checked_histogram(notes)
     table = _default_table()
-    return max((float(np.corrcoef(hist, table.profile(*k))[0, 1]), k)
-               for k in table.keys())[1]
+    keys = table._centred.keys()
+    return max(zip(_key_scores(hist, table, keys), keys))[1]
 
 
 def key_accuracy(gen: NoteSequence, gt: NoteSequence, gt_key):

@@ -35,6 +35,11 @@ STYLE_TAGS = 4
 STYLE_VOCAL_DROP = 0.2       # chance a sample trains with the vocal prompt dropped
 STYLE_TEXT_DROP = 0.1        # chance a sample trains with the null tag
 
+ACCOMP_PAIRS = 96            # accomp-toy dataset size
+ACCOMP_TAGS = 3              # style tags of the accomp-toy pairs
+
+MELODY_SONGS = 120           # melody-grammar dataset size
+
 
 def _check_finite(value, step):
     if not np.isfinite(value):
@@ -148,7 +153,7 @@ def train_style_predictor(seed=0, steps=200, warmup_steps=0):
 # ---------------------------------------------------------------------------
 # accompaniment flow with the expert groups
 
-def train_accomp(seed=0, steps=300, batch=4, n_pairs=96, n_tags=3,
+def train_accomp(seed=0, steps=300, batch=4, n_pairs=ACCOMP_PAIRS, n_tags=ACCOMP_TAGS,
                  T=64, data_dim=16, width=64, experts=4, blocks=2,
                  holdout=16):
     cfg = FlowConfig(train_timesteps=1000)
@@ -220,7 +225,7 @@ def route_trace_rows(model, pair):
 # ---------------------------------------------------------------------------
 # melody model
 
-def train_melody(seed=0, steps=400, batch=8, n_songs=120, holdout=20,
+def train_melody(seed=0, steps=400, batch=8, n_songs=MELODY_SONGS, holdout=20,
                  width=64, layers=2):
     songs = gen_melody_grammar(seed, n_songs)
     train_songs, held = songs[:-holdout], songs[-holdout:]

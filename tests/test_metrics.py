@@ -1,10 +1,13 @@
 import itertools
+import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bandflow import metrics
 from bandflow.errors import ConfigError, DataError, DimensionError
 from bandflow.melody import REST, NoteSequence
 from bandflow.metrics import (
@@ -60,12 +63,41 @@ def _reference_dtw(a, b):
     return float(D[-1, -1])
 
 
-_KEYS = list(KeyProfileTable.load().keys())
+_TABLE = KeyProfileTable.load()
+_KEYS = list(_TABLE.keys())
 
 
 def _reference_best_key(notes):
     """Scores each key on its own and keeps the max of (correlation, key)."""
     return max((key_correlation(notes, k), k) for k in _KEYS)[1]
+
+
+def _corrcoef_key_correlation(notes, key):
+    """key_correlation as np.corrcoef computes it: the oracle for its bits."""
+    tonic, mode = parse_key(key)
+    hist = metrics._checked_histogram(notes)
+    return float(np.corrcoef(hist, _TABLE.profile(tonic, mode))[0, 1])
+
+
+def _corrcoef_best_key(notes):
+    """The max of (np.corrcoef score, key) over the 24 keys."""
+    return max((_corrcoef_key_correlation(notes, k), k) for k in _KEYS)[1]
+
+
+def _outcome(fn, *args):
+    """fn's value, or the type and text of what it raised; numpy's floating
+    warnings are off, so a nan or inf result is returned."""
+    with np.errstate(all="ignore"):
+        try:
+            return fn(*args)
+        except Exception as e:   # compared, not handled
+            return type(e), str(e)
+
+
+def _same(a, b):
+    if isinstance(a, float) and isinstance(b, float) and math.isnan(a):
+        return math.isnan(b)
+    return a == b
 
 
 def _reference_sixteenths(notes):
@@ -74,6 +106,13 @@ def _reference_sixteenths(notes):
         series.extend([float(p)] * max(1, int(round(d * SIXTEENTHS_PER_BEAT))))
     return np.asarray(series)
 
+
+# (pitch, beats) notes whose durations span 1e-160 to 1e150
+_wide_notes = st.lists(
+    st.tuples(st.integers(48, 83),
+              st.one_of(st.floats(1e-160, 1e150),
+                        st.sampled_from([1e-160, 1e-80, 0.25, 1.0, 1e75, 1e150]))),
+    min_size=1, max_size=30)
 
 _series = st.lists(st.one_of(st.floats(-1e6, 1e6), st.sampled_from([-1.5, 0.0, 2.0])),
                    min_size=1, max_size=40)
@@ -141,6 +180,25 @@ class TestKeyEstimation:
         with pytest.raises(DataError, match="overflows"):
             key_correlation(notes, "C major")
 
+    @pytest.mark.parametrize("key", ["C dorian", (3, "Major"), "C", "C major extra",
+                                     ("C", "major"), (3, "major", 0), ["C", "major"], None])
+    def test_bad_key_is_data_error_naming_it(self, key):
+        with pytest.raises(DataError, match=re.escape(repr(key))):
+            key_correlation(_seq(C_MAJOR_SCALE), key)
+
+    def test_eleven_entry_profile_rejected(self):
+        with pytest.raises(DataError, match="major profile must have 12 entries"):
+            KeyProfileTable(major=[1.0] * 11, minor=list(range(12)))
+
+    def test_zero_ground_truth_correlation_invalid(self, monkeypatch):
+        def zero_scores(hist, table, keys):
+            for _ in keys:
+                yield 0.0
+        monkeypatch.setattr(metrics, "_key_scores", zero_scores)
+        gt = _seq(C_MAJOR_SCALE)
+        with pytest.raises(InvalidMetric, match="ground-truth key correlation is zero"):
+            key_accuracy(gt, gt, "C major")
+
     def test_key_accuracy_identity(self):
         gt = _seq(C_MAJOR_SCALE)
         assert key_accuracy(gt, gt, "C major") == pytest.approx(1.0)
@@ -149,6 +207,32 @@ class TestKeyEstimation:
         gt = _seq(C_MAJOR_SCALE)
         off = _seq([61, 63, 66, 68, 70, 61, 63, 66])
         assert key_accuracy(off, gt, "C major") < 1.0
+
+
+class TestKeyScoresMatchCorrcoef:
+    """np.corrcoef is the oracle for every key score: the scores must keep its
+    bits, or the winners of exact ties move."""
+
+    def test_every_equal_weight_set(self):
+        for size in range(1, 12):
+            for classes in itertools.combinations(range(12), size):
+                notes = _seq([60 + c for c in classes])
+                hist = pitch_class_histogram(notes)
+                oracle = [(float(np.corrcoef(hist, _TABLE.profile(*k))[0, 1]), k)
+                          for k in _KEYS]
+                scores = metrics._key_scores(hist, metrics._default_table(), _KEYS)
+                assert list(zip(scores, _KEYS)) == oracle, classes
+                assert best_key(notes) == max(oracle)[1], classes
+
+    @settings(max_examples=300, deadline=None)
+    @given(_wide_notes)
+    def test_duration_weighted_histograms(self, notes):
+        pitches, durations = zip(*notes)
+        song = _seq(pitches, durations)
+        for k in _KEYS:
+            new = _outcome(key_correlation, song, k)
+            assert _same(new, _outcome(_corrcoef_key_correlation, song, k)), k
+        assert _outcome(best_key, song) == _outcome(_corrcoef_best_key, song)
 
 
 class TestSequenceStats:
@@ -186,6 +270,12 @@ class TestSequenceStats:
         with pytest.warns(UserWarning):
             pd_val, _ = dist_similarity([good, rests], [good, good])
         assert pd_val == pytest.approx(1.0)
+
+    def test_dist_similarity_all_empty_rejected(self):
+        rests = NoteSequence(pitches=[REST], durations=[1.0], tempo=120.0)
+        with pytest.warns(UserWarning), \
+                pytest.raises(DataError, match="no nonempty sequence pairs"):
+            dist_similarity([rests, _seq([60])], [rests, rests])
 
     def test_dist_similarity_size_mismatch(self):
         with pytest.raises(DimensionError):
