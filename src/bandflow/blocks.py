@@ -90,8 +90,12 @@ def global_style(z_p, z_v, time_vec):
     """
     zp_mean = tt.mean(z_p, axis=-2, keepdims=True)
     zv_mean = tt.mean(z_v, axis=-2, keepdims=True)
-    t = time_vec if time_vec.ndim == 2 else tt.reshape(time_vec, (1, time_vec.shape[0]))
-    return tt.add(tt.add(zp_mean, zv_mean), t)
+    return tt.add(tt.add(zp_mean, zv_mean), time_row(time_vec))
+
+
+def time_row(time_vec):
+    """A [d] time vector as a [1, d] row; a 2-D one passes through."""
+    return time_vec if time_vec.ndim == 2 else tt.reshape(time_vec, (1, time_vec.shape[0]))
 
 
 class GatedAttention:

@@ -17,7 +17,7 @@ import numpy as np
 from . import train as tr
 from .checkpoint import load_into, save_checkpoint
 from .errors import BandflowError, ConfigError, DataError
-from .flow import MLPEstimator
+from .flow import TRACE_COLUMNS, FlowConfig, MLPEstimator
 from .gradcheck import gradcheck_all
 from .melody import load_notes, save_notes
 from .metrics import REPORT_COLUMNS, evaluate_pair, f0_frame_error, InvalidMetric
@@ -26,7 +26,8 @@ from .synth import gen_flow2d, gen_melody_grammar, gen_style_toy, gen_toy_pairs
 # task -> the number of items it writes by default
 TASKS = {"flow2d": tr.FLOW2D_DATA_N, "accomp-toy": tr.ACCOMP_PAIRS,
          "melody-grammar": tr.MELODY_SONGS, "style-toy": tr.STYLE_SAMPLES}
-MODELS = ("flow2d", "style", "accomp", "melody")
+# model -> the number of training steps it takes by default
+MODELS = {"flow2d": 1500, "style": 200, "accomp": 300, "melody": 400}
 
 
 class _Usage(Exception):
@@ -181,22 +182,20 @@ def _cmd_gen_data(args):
 def _cmd_train(args):
     opt = Options(args)
     seed = opt.at_least("seed", 0, 0)
+    steps = opt.at_least("steps", MODELS[args.model], 1)
     out = opt.get("out", f"{args.model}.vbnd", str)
     if args.model == "flow2d":
-        steps = opt.get("steps", 1500, int)
         model, losses, _ = tr.train_flow2d(seed=seed, steps=steps)
     elif args.model == "style":
-        steps = opt.get("steps", 200, int)
-        warmup = opt.get("warmup", 0, int)
+        warmup = opt.at_least("warmup", 0, 0)
         model, losses, _ = tr.train_style_predictor(seed=seed, steps=steps,
                                                     warmup_steps=warmup)
     elif args.model == "accomp":
-        steps = opt.get("steps", 300, int)
         gamma = opt.get("gamma", 1.0, float)
+        FlowConfig(cfg_scale=gamma)      # reject a bad --gamma before training, not after
         trace = opt.get("trace", False, bool)
         model, losses, _, (_, held) = tr.train_accomp(seed=seed, steps=steps)
     else:
-        steps = opt.get("steps", 400, int)
         model, losses, (_, held) = tr.train_melody(seed=seed, steps=steps)
     save_checkpoint(model.params, out)
     tr.write_csv(str(Path(out).with_suffix(".losses.csv")), ["step", "loss"],
@@ -230,8 +229,7 @@ def _cmd_sample(args):
     samples = tr.sample_flow2d(est, n, seed=seed, trace=trace)
     np.savetxt(out, samples, delimiter=",", header="x,y", comments="")
     if trace is not None:
-        tr.write_csv(str(Path(out).with_suffix(".trace.csv")),
-                     ["step", "t", "mean_abs_x", "mean_abs_v"], trace)
+        tr.write_csv(str(Path(out).with_suffix(".trace.csv")), TRACE_COLUMNS, trace)
     print(f"wrote {n} samples to {out}")
     return 0
 

@@ -18,6 +18,7 @@ from .errors import ConfigError, DimensionError, NumericError
 from .tensor import ParameterStore, Tensor
 
 TIME_EMBED_DIM = 128
+TRACE_COLUMNS = ("step", "t", "mean_abs_x", "mean_abs_v")   # header of euler_sample's trace
 WAVENET_KERNEL = 3
 
 
@@ -35,8 +36,8 @@ class FlowConfig:
             raise ConfigError("infer_steps must be >= 1")
         if not 0.0 <= self.cond_drop_prob <= 1.0:
             raise ConfigError("cond_drop_prob must lie in [0, 1]")
-        if self.cfg_scale < 0.0:
-            raise ConfigError("cfg_scale must be >= 0")
+        if not (np.isfinite(self.cfg_scale) and self.cfg_scale >= 0.0):
+            raise ConfigError(f"cfg_scale must be finite and >= 0, got {self.cfg_scale}")
 
 
 @dataclass
@@ -96,7 +97,7 @@ def euler_sample(estimator, x_init, cond, cfg: FlowConfig, t_start=0.0,
     arrays with one row per sample, and the estimator sees x stacked on
     itself with the condition rows followed by the null rows; cfg_field
     blends the two halves of its output.  `trace`, if a list, collects
-    (step, t, mean|x|, mean|v|) rows.
+    (step, t, mean|x|, mean|v|) rows, labelled by TRACE_COLUMNS.
     """
     x = x_init if isinstance(x_init, Tensor) else Tensor(np.asarray(x_init, dtype=np.float64))
     guided = null_cond is not None and cfg.cfg_scale != 1.0

@@ -70,11 +70,8 @@ def check_op(fn_t, inputs, rng):
     return max(rel_error(a, n) for a, n in zip(ana, num))
 
 
-def _t(rng, *shape, low=None):
-    data = rng.standard_normal(shape)
-    if low is not None:
-        data = np.abs(data) + low
-    return Tensor(data, requires_grad=True)
+def _t(rng, *shape):
+    return Tensor(rng.standard_normal(shape), requires_grad=True)
 
 
 def _cases(rng):
@@ -95,7 +92,6 @@ def _cases(rng):
         "add": (lambda a, b: tt.add(a, b), [_t(rng, m, n), _t(rng, m, n)]),
         "sub": (lambda a, b: tt.sub(a, b), [_t(rng, m, n), _t(rng, m, n)]),
         "mul": (lambda a, b: tt.mul(a, b), [_t(rng, m, n), _t(rng, m, n)]),
-        "div": (lambda a, b: tt.div(a, b), [_t(rng, m, n), _t(rng, m, n, low=0.5)]),
         "mul_broadcast": (lambda a, b: tt.mul(a, b), [_t(rng, m, n), _t(rng, n)]),
         "matmul": (lambda a, b: tt.matmul(a, b), [_t(rng, m, k), _t(rng, k, n)]),
         "matmul_batched": (lambda a, b: tt.matmul(a, b), [_t(rng, heads, m, k), _t(rng, k, n)]),
@@ -108,8 +104,6 @@ def _cases(rng):
         "getitem": (lambda a: a[1:, ::2], [_t(rng, m + 1, 2 * n)]),
         "concat": (lambda a, b: tt.concat([a, b], axis=0), [_t(rng, m, n), _t(rng, k, n)]),
         "exp": (lambda a: tt.exp(a), [_t(rng, m, n)]),
-        "log": (lambda a: tt.log(a), [_t(rng, m, n, low=0.5)]),
-        "sqrt": (lambda a: tt.sqrt(a), [_t(rng, m, n, low=0.5)]),
         "tanh": (lambda a: tt.tanh(a), [_t(rng, m, n)]),
         "sigmoid": (lambda a: tt.sigmoid(a), [_t(rng, m, n)]),
         "silu": (lambda a: tt.silu(a), [_t(rng, m, n)]),
@@ -149,7 +143,7 @@ def _cases(rng):
     }
 
 
-def gradcheck_all(trials=20, seed=0):
+def gradcheck_all(trials, seed=0):
     """Worst relative error per op over `trials` randomized shapes."""
     rng = np.random.default_rng(seed)
     worst = {}

@@ -128,7 +128,7 @@ class StylePredictorModel:
     to the content stream (its index 0 row is the dropped-prompt state).
     """
 
-    def __init__(self, rng, n_tags, n_phonemes, channels=8):
+    def __init__(self, rng, n_tags, n_phonemes, channels):
         self.n_tags = n_tags
         self.params = ParameterStore()
         p = self.params
@@ -145,7 +145,7 @@ class StylePredictorModel:
                                         layers=STYLE_WAVENET_LAYERS)
         self.params.merge(self.wavenet.params)
 
-    def condition(self, phonemes, tag, vocal_prompt=True):
+    def condition(self, phonemes, tag, vocal_prompt):
         ids = np.asarray(phonemes, dtype=np.int64)
         z_ct = tt.gather(self.phoneme_emb, ids)
         z_ct = tt.add(z_ct, tt.gather(self.vocal_emb, np.array([1 if vocal_prompt else 0])))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tt
-from .blocks import FeedForward, sdp_attention
+from .blocks import FeedForward, sdp_attention, time_row
 from .errors import ConfigError, DimensionError
 from .tensor import ParameterStore, Tensor
 
@@ -109,20 +109,20 @@ class ExpertGroup:
 
     def mix_tokens(self, h, gates):
         """Per-token mixture: output[t] = sum_i gates[t, i] * expert_i(h)[t]."""
-        out = None
-        for i, ex in enumerate(self.experts):
-            term = tt.mul(ex(h), gates[:, i:i + 1])
-            out = term if out is None else tt.add(out, term)
-        return out
+        return self._mix(h, lambda i: gates[:, i:i + 1])
 
     def mix_channels(self, h, gates):
         """Per-channel mixture: output[..., c] = sum_j gates[..., c, j] * expert_j(h)[..., c].
 
         h: [..., T, d]; gates: [..., d, N], one gate table per sample.
         """
+        return self._mix(h, lambda j: gates[..., None, :, j])
+
+    def _mix(self, h, gate_column):
+        """sum_i expert_i(h) * gate_column(i), the experts taken in order."""
         out = None
-        for j, ex in enumerate(self.experts):
-            term = tt.mul(ex(h), gates[..., None, :, j])
+        for i, ex in enumerate(self.experts):
+            term = tt.mul(ex(h), gate_column(i))
             out = term if out is None else tt.add(out, term)
         return out
 
@@ -153,22 +153,22 @@ class BandMoE:
     def route_aligned(self, h, z_v, state: RouterState):
         if h.shape[:-1] != z_v.shape[:-1]:
             raise DimensionError(f"token counts differ: {h.shape[:-1]} vs {z_v.shape[:-1]}")
-        logits = tt.matmul(_tokens(z_v), self.w_aligned)
-        gates = gumbel_gate(logits, state.tau, state.rng, state.mode)
-        self.last_gates["aligned"] = gates
-        return _untokens(self.aligned.mix_tokens(_tokens(h), gates), h.shape)
+        return self._route_tokens("aligned", self.w_aligned, z_v, h, state)
 
     def route_controlled(self, h, z_p, state: RouterState):
         z_sty = sdp_attention(h, z_p, z_p)
-        logits = tt.matmul(_tokens(z_sty), self.w_controlled)
+        return self._route_tokens("controlled", self.w_controlled, z_sty, h, state)
+
+    def _route_tokens(self, group, w_router, z, h, state):
+        """Route each token of h to the experts of `group` by its row of z."""
+        logits = tt.matmul(_tokens(z), w_router)
         gates = gumbel_gate(logits, state.tau, state.rng, state.mode)
-        self.last_gates["controlled"] = gates
-        return _untokens(self.controlled.mix_tokens(_tokens(h), gates), h.shape)
+        self.last_gates[group] = gates
+        return _untokens(getattr(self, group).mix_tokens(_tokens(h), gates), h.shape)
 
     def global_mix(self, o_aligned, o_controlled, time_vec, state: RouterState):
         """Blend the two token-routed outputs; the global gate stays dense."""
-        t = time_vec if time_vec.ndim == 2 else tt.reshape(time_vec, (1, time_vec.shape[0]))
-        logits = tt.matmul(t, self.w_global)
+        logits = tt.matmul(time_row(time_vec), self.w_global)
         gates = gumbel_gate(logits, state.tau, state.rng, mode="dense")
         self.last_gates["global"] = gates
         alpha = gates[0:1, 0:1]
@@ -188,8 +188,7 @@ class BandMoE:
 
     # -- full layer ---------------------------------------------------------
 
-    def __call__(self, h, z_v=None, z_p=None, time_vec=None, state=None):
-        state = state or RouterState()
+    def __call__(self, h, z_v, z_p, time_vec, state):
         o_a = self.route_aligned(h, z_v, state)
         o_c = self.route_controlled(h, z_p, state)
         o = self.global_mix(o_a, o_c, time_vec, state)
@@ -226,12 +225,11 @@ class PlainBandFFN:
             raise ConfigError("reduction only defined for single-expert groups")
         self.moe = moe
 
-    def __call__(self, h, z_v=None, z_p=None, time_vec=None, state=None):
+    def __call__(self, h, z_v, z_p, time_vec, state):
         m = self.moe
         o_a = m.aligned.experts[0](h)
         o_c = m.controlled.experts[0](h)
-        t = time_vec if time_vec.ndim == 2 else tt.reshape(time_vec, (1, time_vec.shape[0]))
-        state = state or RouterState()
+        t = time_row(time_vec)
         gates = gumbel_gate(tt.matmul(t, m.w_global), state.tau, state.rng, mode="dense")
         o = tt.add(tt.mul(o_a, gates[0:1, 0:1]), tt.mul(o_c, gates[0:1, 1:2]))
         return m.acoustic.experts[0](o)

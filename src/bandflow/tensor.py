@@ -29,7 +29,6 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "div",
     "matmul",
     "swapaxes",
     "rotate_pairs",
@@ -37,8 +36,6 @@ __all__ = [
     "getitem",
     "concat",
     "exp",
-    "log",
-    "sqrt",
     "tanh",
     "sigmoid",
     "silu",
@@ -253,32 +250,10 @@ def mul(a, b):
     ])
 
 
-def div(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_broadcast(a, b)
-    out = a.data / b.data
-    return _make(out, [
-        (a, lambda g: _unbroadcast(g / b.data, a.shape)),
-        (b, lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.shape)),
-    ])
-
-
 def exp(a):
     a = _as_tensor(a)
     out = np.exp(a.data)
     return _make(out, [(a, lambda g: g * out)])
-
-
-def log(a):
-    a = _as_tensor(a)
-    out = np.log(a.data)
-    return _make(out, [(a, lambda g: g / a.data)])
-
-
-def sqrt(a):
-    a = _as_tensor(a)
-    out = np.sqrt(a.data)
-    return _make(out, [(a, lambda g: g * 0.5 / out)])
 
 
 def tanh(a):

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensor as tt
 from .errors import DimensionError, NumericError
-from .flow import FlowConfig, MLPEstimator, cfm_loss, euler_sample, make_flow_sample
+from .flow import FlowConfig, FlowSample, MLPEstimator, cfm_loss, euler_sample, make_flow_sample
 from .melody import MelodyBatch, MelodyModel, melody_loss, NoteSequence
 from .metrics import evaluate_pair, InvalidMetric
 from .models import AccompFlowModel, StylePredictorModel
@@ -85,7 +85,7 @@ def write_csv(path, header, rows):
 # ---------------------------------------------------------------------------
 # 2-D mixture flow
 
-def train_flow2d(seed=0, steps=1500, batch=256, lr=2e-3):
+def train_flow2d(seed, steps, batch=256, lr=2e-3):
     cfg = FlowConfig(train_timesteps=100, cfg_scale=1.0)
     data = gen_flow2d(seed, FLOW2D_DATA_N)
     rng = np.random.default_rng(seed + 1)
@@ -96,14 +96,14 @@ def train_flow2d(seed=0, steps=1500, batch=256, lr=2e-3):
         x1 = data[idx]
         x0 = rng.standard_normal((batch, 2))
         t = rng.integers(cfg.train_timesteps, size=batch) / cfg.train_timesteps
-        xt = (1.0 - t)[:, None] * x0 + t[:, None] * x1
-        yield lambda: tt.mse(est(Tensor(xt), t), Tensor(x1 - x0))
+        s = FlowSample(x0, x1, t[:, None])
+        yield lambda: tt.mse(est(Tensor(s.xt), t), Tensor(s.u))
 
     losses = fit(Adam(est.params, lr=lr), steps, draws)
     return est, losses, cfg
 
 
-def sample_flow2d(est, n, seed=0, flow_cfg=None, trace=None):
+def sample_flow2d(est, n, seed, flow_cfg=None, trace=None):
     cfg = flow_cfg or FlowConfig(cfg_scale=1.0)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, 2))
@@ -125,7 +125,7 @@ def flow2d_mode_stats(samples):
 # ---------------------------------------------------------------------------
 # style predictor
 
-def train_style_predictor(seed=0, steps=200, warmup_steps=0):
+def train_style_predictor(seed, steps, warmup_steps=0):
     cfg = FlowConfig(train_timesteps=100)
     data = gen_style_toy(seed, STYLE_SAMPLES, n_tags=STYLE_TAGS)
     rng = np.random.default_rng(seed + 1)
@@ -153,7 +153,7 @@ def train_style_predictor(seed=0, steps=200, warmup_steps=0):
 # ---------------------------------------------------------------------------
 # accompaniment flow with the expert groups
 
-def train_accomp(seed=0, steps=300, batch=4, n_pairs=ACCOMP_PAIRS, n_tags=ACCOMP_TAGS,
+def train_accomp(seed, steps, batch=4, n_pairs=ACCOMP_PAIRS, n_tags=ACCOMP_TAGS,
                  T=64, data_dim=16, width=64, experts=4, blocks=2,
                  holdout=16):
     cfg = FlowConfig(train_timesteps=1000)
@@ -225,7 +225,7 @@ def route_trace_rows(model, pair):
 # ---------------------------------------------------------------------------
 # melody model
 
-def train_melody(seed=0, steps=400, batch=8, n_songs=MELODY_SONGS, holdout=20,
+def train_melody(seed, steps, batch=8, n_songs=MELODY_SONGS, holdout=20,
                  width=64, layers=2):
     songs = gen_melody_grammar(seed, n_songs)
     train_songs, held = songs[:-holdout], songs[-holdout:]

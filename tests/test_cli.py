@@ -187,6 +187,43 @@ class TestRanges:
         assert stdout == ""
         assert err == "usage error: --trials must be >= 1, got 0\n"
 
+    @pytest.mark.parametrize("flag,value,minimum", [
+        ("--steps", "0", 1), ("--steps", "-3", 1), ("--warmup", "-1", 0)])
+    def test_train_steps_below_minimum_exits_one(self, tmp_path, capsys, flag, value,
+                                                 minimum):
+        ck = tmp_path / "s.vbnd"
+        code, stdout, err = run(["train", "--model", "style", flag, value, "--out", str(ck)],
+                                capsys)
+        assert code == 1
+        assert stdout == ""
+        assert err == f"usage error: {flag} must be >= {minimum}, got {value}\n"
+        assert not ck.exists()
+        assert not ck.with_suffix(".losses.csv").exists()
+
+    @pytest.mark.parametrize("key,value,minimum", [("steps", "0", 1), ("warmup", "-1", 0)])
+    def test_train_steps_in_config_below_minimum_exits_two(self, tmp_path, capsys, key,
+                                                          value, minimum):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        ck = tmp_path / "s.vbnd"
+        code, stdout, err = run(["train", "--model", "style", "--config", str(cfg),
+                                 "--out", str(ck)], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: bad value {value} for {key!r} in config; must be >= {minimum}\n"
+        assert not ck.exists()
+
+    @pytest.mark.parametrize("gamma", ["-1", "nan", "inf"])
+    def test_bad_gamma_exits_two_before_training(self, tmp_path, capsys, gamma):
+        ck = tmp_path / "a.vbnd"
+        code, stdout, err = run(["train", "--model", "accomp", "--gamma", gamma,
+                                 "--out", str(ck)], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: cfg_scale must be finite and >= 0")
+        assert err.count("\n") == 1
+        assert not ck.exists()
+
     def test_zero_seed_is_accepted(self, tmp_path, capsys):
         code, _, _ = run(SEEDED["gen-data"] + ["--seed", "0", "--out", str(tmp_path)], capsys)
         assert code == 0

@@ -53,6 +53,10 @@ CASES = {
     "flow_config_train_timesteps": (lambda: FlowConfig(train_timesteps=0),
                                     ConfigError, "train_timesteps"),
     "flow_config_cfg_scale": (lambda: FlowConfig(cfg_scale=-1), ConfigError, "cfg_scale"),
+    "flow_config_cfg_scale_nan": (lambda: FlowConfig(cfg_scale=float("nan")), ConfigError,
+                                  "cfg_scale must be finite"),
+    "flow_config_cfg_scale_inf": (lambda: FlowConfig(cfg_scale=float("inf")), ConfigError,
+                                  "cfg_scale must be finite"),
     "flow_sample_endpoints": (lambda: FlowSample(x0=np.zeros(3), x1=np.zeros(4), t=0.5),
                               DimensionError, "endpoint shapes differ"),
     "cfm_loss_condition_count": (

@@ -255,3 +255,40 @@ def test_expert_group_mix_tokens_one_hot_selects_expert():
     gates[:, 1] = 1.0
     out = group.mix_tokens(h, Tensor(gates))
     np.testing.assert_array_equal(out.data, group.experts[1](h).data)
+
+
+class TestHardRoutingPicksOneExpert:
+    """In hard mode every routed unit's output is its chosen expert's output,
+    bit for bit: the other experts enter as exact zeros."""
+
+    HARD = RouterState(tau=TAU_LOW, mode="hard", rng=None)
+
+    @pytest.mark.parametrize("shape", [(7, 4), (3, 5, 4)])
+    def test_controlled_token_gets_its_experts_output(self, shape):
+        moe, _, rng = _moe(d=4, n=3, seed=10)
+        # a token attends to the prompt row on the side of its h[0], whose
+        # sign then picks expert 0 or 1
+        moe.w_controlled.data[0] = [1.0, -1.0, 0.0]
+        h = Tensor(rng.standard_normal(shape))
+        z_p = Tensor(np.broadcast_to([[3.0, 0, 0, 0], [-3.0, 0, 0, 0]], shape[:-2] + (2, 4)))
+        out = moe.route_controlled(h, z_p, self.HARD).data.reshape(-1, 4)
+        picks = moe.last_gates["controlled"].data.argmax(axis=1)
+        assert len(set(picks)) > 1
+        tokens = Tensor(h.data.reshape(-1, 4))
+        for row, k in enumerate(picks):
+            expect = moe.controlled.experts[k](tokens).data[row]
+            np.testing.assert_array_equal(out[row], expect)
+
+    @pytest.mark.parametrize("shape", [(6, 4), (2, 6, 4)])
+    def test_acoustic_channel_gets_its_experts_output(self, shape):
+        moe, _, rng = _moe(d=4, n=2, seed=11)
+        moe.w_acoustic.data[...] = [[1.0, -1.0], [0.0, 0.0]]   # by the sign of the mean
+        h = Tensor(rng.standard_normal(shape) + np.array([2.0, -2.0, -2.0, 2.0]))
+        out = moe.route_acoustic(h, self.HARD).data
+        picks = moe.last_gates["acoustic"].data.argmax(axis=-1)      # [..., d]
+        assert len(set(picks.ravel())) > 1
+        expert_out = [ex(h).data for ex in moe.acoustic.experts]
+        for idx in np.ndindex(picks.shape):
+            lead, c = idx[:-1], idx[-1]
+            expect = expert_out[picks[idx]][lead + (slice(None), c)]
+            np.testing.assert_array_equal(out[lead + (slice(None), c)], expect)
