@@ -2,8 +2,8 @@
 
 Contains scaled-dot-product attention, rotary position rotation, the
 zero-initialized gated self/cross attention used by the main transformer
-block, the stacked style-alignment attention, and the block itself (whose
-feed-forward slot can be replaced by a mixture-of-experts).
+block, the stacked style-alignment attention, and the block itself, whose
+feed-forward slot is a mixture-of-experts.
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ class FeedForward:
         self.b2 = params.add(f"{prefix}.b2", np.zeros(d))
 
     def __call__(self, h):
-        return tt.add(tt.matmul(tt.silu(tt.add(tt.matmul(h, self.w1), self.b1)), self.w2), self.b2)
+        return tt.ffn(h, self.w1, self.b1, self.w2, self.b2)
 
 
 def style_alignment_stack(z_ct, z_p, layers):
@@ -188,12 +188,12 @@ class BandBlock:
 
     Sequence: rmsnorm -> RoPE self-attention + tanh(alpha)-gated cross
     attention on prompt tokens -> residual; adaptive layernorm driven by the
-    global style vector -> feed-forward (or a mixture-of-experts when
-    `moe` is wired) -> residual.  All injection paths are zero-initialized,
-    so the block is an exact identity before training.
+    global style vector -> mixture-of-experts -> residual.  All injection
+    paths are zero-initialized, so the block is an exact identity before
+    training.
     """
 
-    def __init__(self, d, heads, rng, params: ParameterStore, prefix, moe=None):
+    def __init__(self, d, heads, rng, params: ParameterStore, prefix, moe):
         self.d = d
         self.attn = GatedAttention(d, heads, rng, params, f"{prefix}.attn")
         self.norm_gain = params.add(f"{prefix}.norm_gain", np.ones(d))
@@ -202,20 +202,12 @@ class BandBlock:
         self.w_scale = params.add(f"{prefix}.ada_scale", np.zeros((d, d)))
         self.w_shift = params.add(f"{prefix}.ada_shift", np.zeros((d, d)))
         self.moe = moe
-        if moe is None:
-            self.ffn = FeedForward(d, 4 * d, rng, params, f"{prefix}.ffn")
-        else:
-            self.ffn = None
 
-    def __call__(self, h, z_p, z_g, moe_ctx=None):
+    def __call__(self, h, z_p, z_g, moe_ctx):
         """h: [..., T, d]; z_p: [..., P, d] or None; z_g: [..., 1, d] global
         style, which modulates every token of its row."""
         a = tt.add(h, self.attn(tt.rmsnorm(h, self.norm_gain), z_p))
         scale = tt.matmul(z_g, self.w_scale)
         shift = tt.matmul(z_g, self.w_shift)
         mod = tt.adaln(a, scale, shift)
-        if self.moe is not None:
-            f = self.moe(mod, **(moe_ctx or {}))
-        else:
-            f = self.ffn(mod)
-        return tt.add(a, f)
+        return tt.add(a, self.moe(mod, **moe_ctx))

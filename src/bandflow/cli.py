@@ -28,6 +28,19 @@ TASKS = {"flow2d": tr.FLOW2D_DATA_N, "accomp-toy": tr.ACCOMP_PAIRS,
          "melody-grammar": tr.MELODY_SONGS, "style-toy": tr.STYLE_SAMPLES}
 # model -> the number of training steps it takes by default
 MODELS = {"flow2d": 1500, "style": 200, "accomp": 300, "melody": 400}
+# command -> the options it reads, from a flag or from the config file
+READS = {
+    "gen-data": ("seed", "n", "out"),
+    "train": ("seed", "steps", "out"),
+    "sample": ("seed", "n", "out", "trace"),
+    "eval-melody": ("out",),
+    "route-trace": ("seed", "steps", "out"),
+    "gradcheck": ("trials",),
+}
+# model -> the train options it reads besides READS["train"]
+MODEL_READS = {"flow2d": (), "style": ("warmup",), "accomp": ("gamma", "trace"), "melody": ()}
+_OPTIONS = {k for keys in (*READS.values(), *MODEL_READS.values()) for k in keys}
+ROUTE_TRACE_STEPS = 5      # training steps of route-trace's model by default
 
 
 class _Usage(Exception):
@@ -68,11 +81,27 @@ def _parse_bool(text):
 
 
 class Options:
-    """Flag > config-file > default resolution."""
+    """Flag > config-file > default resolution over the options a command
+    reads (READS, and MODEL_READS for train).
+
+    A flag the command does not read is a usage error and a config key it
+    does not read a ConfigError, both raised here, before the command
+    writes anything.
+    """
 
     def __init__(self, args):
         self._args = vars(args)
+        reads, user = READS[args.command], args.command
+        if user == "train":
+            reads, user = reads + MODEL_READS[args.model], f"train --model {args.model}"
+        stray = [f"--{k}" for k, v in self._args.items()
+                 if v is not None and k not in reads and k in _OPTIONS]
+        if stray:
+            raise _Usage(f"{', '.join(stray)} not used by {user}")
         self._cfg = _read_config(args.config) if getattr(args, "config", None) else {}
+        for key in self._cfg:
+            if key not in reads:
+                raise ConfigError(f"config key {key!r} not used by {user}")
 
     def get(self, key, default, cast=str):
         v = self._args.get(key)
@@ -242,6 +271,7 @@ def _note_files(path):
 
 
 def _cmd_eval_melody(args):
+    out = Options(args).get("out", None, str)
     gen_files = _note_files(args.generated)
     ref_files = _note_files(args.reference)
     if len(gen_files) != len(ref_files):
@@ -264,8 +294,8 @@ def _cmd_eval_melody(args):
     for row in rows:
         writer.writerow([f"{v:.6f}" for v in row])
     writer.writerow([f"{v:.6f}" for v in summary])
-    if args.out:
-        tr.write_csv(args.out, list(REPORT_COLUMNS),
+    if out:
+        tr.write_csv(out, list(REPORT_COLUMNS),
                      [[f"{v:.6f}" for v in r] for r in rows + [summary]])
     return 0
 
@@ -294,8 +324,9 @@ def _cmd_eval_f0(args):
 def _cmd_route_trace(args):
     opt = Options(args)
     seed = opt.at_least("seed", 0, 0)
+    steps = opt.at_least("steps", ROUTE_TRACE_STEPS, 1)
     out = opt.get("out", "route.csv", str)
-    model, _, _, (_, held) = tr.train_accomp(seed=seed, steps=5)
+    model, _, _, (_, held) = tr.train_accomp(seed=seed, steps=steps)
     rows = tr.route_trace_rows(model, held[0])
     tr.write_csv(out, tr.ROUTE_COLUMNS, rows)
     print(f"wrote routing trace to {out}")

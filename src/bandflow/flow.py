@@ -151,9 +151,7 @@ class TimeEmbedding:
         self.b2 = params.add(f"{prefix}.b2", np.zeros(out_dim))
 
     def __call__(self, t):
-        feats = Tensor(sinusoidal_embedding(t))
-        h = tt.silu(tt.add(tt.matmul(feats, self.w1), self.b1))
-        return tt.add(tt.matmul(h, self.w2), self.b2)
+        return tt.ffn(Tensor(sinusoidal_embedding(t)), self.w1, self.b1, self.w2, self.b2)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import numpy as np
 
 from . import tensor as tt
 from .blocks import rope_rotate, sdp_attention
+from .moe import _channel_column, _token_column
 from .tensor import Tape, Tensor, backward
 
 FD_STEP = 1e-5
@@ -88,6 +89,12 @@ def _cases(rng):
     heads = int(rng.integers(2, 4))
     positions = rng.uniform(-3.0, 20.0, size=T)
 
+    def ffn_inputs(*lead):
+        return [_t(rng, *lead, k), _t(rng, k, n), _t(rng, n), _t(rng, n, m), _t(rng, m)]
+
+    def gated_sum(key):
+        return lambda gates, *outs: tt.gated_sum(outs, gates, key)
+
     return {
         "add": (lambda a, b: tt.add(a, b), [_t(rng, m, n), _t(rng, m, n)]),
         "sub": (lambda a, b: tt.sub(a, b), [_t(rng, m, n), _t(rng, m, n)]),
@@ -140,6 +147,17 @@ def _cases(rng):
         "sdp_attention_4d": (lambda q, k_, v: sdp_attention(q, k_, v),
                              [_t(rng, rows, heads, m, d2), _t(rng, rows, heads, k, d2),
                               _t(rng, rows, heads, k, n)]),
+        "ffn": (tt.ffn, ffn_inputs(m)),
+        "ffn_batched": (tt.ffn, ffn_inputs(rows, T)),
+        "ffn_lone_row": (tt.ffn, ffn_inputs(rows, 1)),
+        "gated_sum_tokens": (gated_sum(_token_column),
+                             [_t(rng, m, heads)] + [_t(rng, m, n) for _ in range(heads)]),
+        "gated_sum_channels": (gated_sum(_channel_column),
+                               [_t(rng, rows, n, heads)]
+                               + [_t(rng, rows, T, n) for _ in range(heads)]),
+        "gated_sum_lone_row": (gated_sum(_channel_column),
+                               [_t(rng, rows, n, heads)]
+                               + [_t(rng, rows, 1, n) for _ in range(heads)]),
     }
 
 

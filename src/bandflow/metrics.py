@@ -185,15 +185,25 @@ def best_key(notes: NoteSequence):
     of a histogram can tie exactly, and the winner of a tie must not depend
     on how the sums were rounded.
     """
+    return _scored_best_key(notes)[1]
+
+
+def _scored_best_key(notes):
+    """(correlation, key) of best_key: the winner's score is bitwise
+    key_correlation(notes, key)."""
     hist = _checked_histogram(notes)
     table = _default_table()
     keys = table._centred.keys()
-    return max(zip(_key_scores(hist, table, keys), keys))[1]
+    return max(zip(_key_scores(hist, table, keys), keys))
 
 
 def key_accuracy(gen: NoteSequence, gt: NoteSequence, gt_key):
     """Ratio of the generated correlation to the ground-truth correlation."""
-    r = key_correlation(gt, gt_key)
+    return _key_ratio(gen, key_correlation(gt, gt_key), gt_key)
+
+
+def _key_ratio(gen, r, gt_key):
+    """key_accuracy given the ground truth's correlation r with gt_key."""
     if r == 0:
         raise InvalidMetric("ground-truth key correlation is zero")
     r_hat = key_correlation(gen, gt_key)
@@ -321,10 +331,13 @@ def f0_frame_error(gen, gt):
 
 
 def evaluate_pair(gen: NoteSequence, gt: NoteSequence, gt_key=None):
-    """Single-pair MelodyReport; gt_key defaults to the estimated key of gt."""
+    """Single-pair MelodyReport; gt_key defaults to the estimated key of gt,
+    whose score from that search is gt's correlation in the key accuracy."""
     if gt_key is None:
-        gt_key = best_key(gt)
-    ka = key_accuracy(gen, gt, gt_key)
+        r, gt_key = _scored_best_key(gt)
+    else:
+        r = key_correlation(gt, gt_key)
+    ka = _key_ratio(gen, r, gt_key)
     apd, td = apd_td(gen, gt)
     pd_val, dd_val = dist_similarity([gen], [gt])
     md = melody_distance(gen, gt)

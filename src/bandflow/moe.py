@@ -95,6 +95,16 @@ def balance_loss(gates, alpha=BALANCE_ALPHA, form="switch"):
     return tt.mul(tt.sum_(tt.mul(mean_gate, frac)), alpha * num)
 
 
+def _token_column(i):
+    """Expert i's gates in [tokens, N] gates: a [tokens, 1] column."""
+    return (slice(None), slice(i, i + 1))
+
+
+def _channel_column(j):
+    """Expert j's gates in [..., d, N] gates: a [..., 1, d] row per sample."""
+    return (Ellipsis, None, slice(None), j)
+
+
 class ExpertGroup:
     """Shared-width position-wise feed-forward experts (hidden width 2d)."""
 
@@ -109,22 +119,18 @@ class ExpertGroup:
 
     def mix_tokens(self, h, gates):
         """Per-token mixture: output[t] = sum_i gates[t, i] * expert_i(h)[t]."""
-        return self._mix(h, lambda i: gates[:, i:i + 1])
+        return self._mix(h, gates, _token_column)
 
     def mix_channels(self, h, gates):
         """Per-channel mixture: output[..., c] = sum_j gates[..., c, j] * expert_j(h)[..., c].
 
         h: [..., T, d]; gates: [..., d, N], one gate table per sample.
         """
-        return self._mix(h, lambda j: gates[..., None, :, j])
+        return self._mix(h, gates, _channel_column)
 
-    def _mix(self, h, gate_column):
-        """sum_i expert_i(h) * gate_column(i), the experts taken in order."""
-        out = None
-        for i, ex in enumerate(self.experts):
-            term = tt.mul(ex(h), gate_column(i))
-            out = term if out is None else tt.add(out, term)
-        return out
+    def _mix(self, h, gates, key):
+        """sum_i expert_i(h) * gates[key(i)], the experts taken in order."""
+        return tt.gated_sum([ex(h) for ex in self.experts], gates, key)
 
 
 class BandMoE:

@@ -1,4 +1,4 @@
-"""In-place parameter updates: plain SGD and Adam."""
+"""In-place parameter updates: Adam."""
 
 from __future__ import annotations
 
@@ -8,12 +8,6 @@ from .tensor import ParameterStore
 
 ADAM_BETAS = (0.9, 0.98)
 ADAM_EPS = 1e-8
-
-
-def sgd_step(store: ParameterStore, lr: float) -> None:
-    for t in store.tensors():
-        if t.grad is not None:
-            t.data -= lr * t.grad
 
 
 class Adam:

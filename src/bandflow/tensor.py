@@ -30,6 +30,8 @@ __all__ = [
     "sub",
     "mul",
     "matmul",
+    "ffn",
+    "gated_sum",
     "swapaxes",
     "rotate_pairs",
     "reshape",
@@ -285,31 +287,39 @@ def softplus(a):
 # ---------------------------------------------------------------------------
 # linear algebra / shape ops
 
+def _fold(x, y, outer=False):
+    """x @ y for x [..., rows, k] and y [k, n], as one GEMM over the folded
+    rows, so each row's bits are those of the 2-D product.  With outer=True,
+    the weight gradient x^T @ y of that product for y [..., rows, n].
+
+    A lone row with leading axes ([..., 1, k]) stays a stack: numpy
+    multiplies a [1, k] matrix with gemv, which rounds differently from a
+    GEMM over the folded rows.  Its weight gradient is then summed over the
+    leading axes.
+    """
+    if x.ndim == 2:
+        return x.T @ y if outer else x @ y
+    if x.shape[-2] == 1:
+        if outer:
+            return _unbroadcast(np.swapaxes(x, -1, -2) @ y, (x.shape[-1], y.shape[-1]))
+        return x @ y
+    rows = x.reshape(-1, x.shape[-1])
+    if outer:
+        return rows.T @ y.reshape(-1, y.shape[-1])
+    return (rows @ y).reshape(x.shape[:-1] + y.shape[1:])
+
+
 def matmul(a, b):
     """Matrix product; leading batch axes broadcast as in np.matmul."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim == 2 and b.ndim == 2:
-        if a.shape[1] != b.shape[0]:
-            raise DimensionError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
-        out = a.data @ b.data
-        return _make(out, [
-            (a, lambda g: g @ b.data.T),
-            (b, lambda g: a.data.T @ g),
-        ])
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(f"matmul expects operands of rank >= 2, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
-    if b.ndim == 2 and a.shape[-2] > 1:
-        # fold a's batch axes into the rows: one GEMM instead of a stack, and
-        # each row's bits are those of the 2-D product.  Lone rows stay a
-        # stack: numpy multiplies a [1, k] matrix with gemv, which rounds
-        # differently from a GEMM over the folded rows
-        rows = a.data.reshape(-1, a.shape[-1])
-        out = (rows @ b.data).reshape(a.shape[:-1] + b.shape[1:])
-        return _make(out, [
-            (a, lambda g: (g.reshape(-1, g.shape[-1]) @ b.data.T).reshape(a.shape)),
-            (b, lambda g: rows.T @ g.reshape(-1, g.shape[-1])),
+    if b.ndim == 2:
+        return _make(_fold(a.data, b.data), [
+            (a, lambda g: _fold(g, b.data.T)),
+            (b, lambda g: _fold(a.data, g, outer=True)),
         ])
     try:
         np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
@@ -320,6 +330,86 @@ def matmul(a, b):
         (a, lambda g: _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)),
         (b, lambda g: _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)),
     ])
+
+
+def ffn(h, w1, b1, w2, b2):
+    """silu(h @ w1 + b1) @ w2 + b2 as one op, bitwise the chain of matmul,
+    add, silu, matmul and add it replaces.
+
+    h: [..., rows, d], w1: [d, hidden], b1: [hidden], w2: [hidden, n],
+    b2: [n].  The bias adds and the sigmoid run in place, in silu's numpy
+    order; the sigmoid and the activation are the arrays kept for the
+    backward, whose closures share one d(pre-activation).
+    """
+    h, w1, b1, w2, b2 = (_as_tensor(x) for x in (h, w1, b1, w2, b2))
+    if h.ndim < 2 or w1.ndim != 2 or w2.ndim != 2:
+        raise DimensionError(
+            f"ffn expects h[..., rows, d] and 2-D weights, got {h.shape}, {w1.shape}, {w2.shape}")
+    if h.shape[-1] != w1.shape[0] or w1.shape[1] != w2.shape[0]:
+        raise DimensionError(f"ffn inner extents differ: {h.shape}, {w1.shape}, {w2.shape}")
+    if b1.shape != w1.shape[1:] or b2.shape != w2.shape[1:]:
+        raise DimensionError(f"ffn bias shapes {b1.shape}, {b2.shape} do not match "
+                             f"weights {w1.shape}, {w2.shape}")
+    act = _fold(h.data, w1.data)
+    act += b1.data
+    sig = np.negative(act)
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.divide(1.0, sig, out=sig)
+    act *= sig
+    out = _fold(act, w2.data)
+    out += b2.data
+
+    memo = []
+
+    def grad_pre(g):
+        # g @ w2^T times silu's derivative sig + act * (1 - sig)
+        if not memo or memo[0] is not g:
+            d = np.subtract(1.0, sig)
+            d *= act
+            d += sig
+            d *= _fold(g, w2.data.T)
+            memo[:] = [g, d]
+        return memo[1]
+
+    return _make(out, [
+        (h, lambda g: _fold(grad_pre(g), w1.data.T)),
+        (w1, lambda g: _fold(h.data, grad_pre(g), outer=True)),
+        (b1, lambda g: _unbroadcast(grad_pre(g), b1.shape)),
+        (w2, lambda g: _fold(act, g, outer=True)),
+        (b2, lambda g: _unbroadcast(g, b2.shape)),
+    ])
+
+
+def gated_sum(outs, gates, key):
+    """sum_i outs[i] * gates[key(i)] as one op, the terms added in order.
+
+    `key(i)` indexes the gate column of term i (basic indexing only), which
+    broadcasts against outs[i].  The backward writes every column's
+    gradient into one zero buffer, as getitem's backward does.
+    """
+    outs, gates = [_as_tensor(o) for o in outs], _as_tensor(gates)
+    if not outs:
+        raise DimensionError("gated_sum needs at least one term")
+    cols = [gates.data[key(i)] for i in range(len(outs))]
+    for o, c in zip(outs, cols):
+        if o.shape != outs[0].shape or _check_broadcast(o, c) != o.shape:
+            raise DimensionError(f"gated_sum term {o.shape} and gate column {c.shape} "
+                                 f"do not give {outs[0].shape}")
+    out = outs[0].data * cols[0]
+    term = np.empty_like(out)
+    for o, c in zip(outs[1:], cols[1:]):
+        np.multiply(o.data, c, out=term)
+        out += term
+
+    def grad_gates(g):
+        buf = np.zeros_like(gates.data)
+        for i, (o, c) in enumerate(zip(outs, cols)):
+            buf[key(i)] += _unbroadcast(g * o.data, c.shape)
+        return buf
+
+    return _make(out, [(o, lambda g, c=c: g * c) for o, c in zip(outs, cols)]
+                 + [(gates, grad_gates)])
 
 
 def swapaxes(a, axis1, axis2):

@@ -16,6 +16,7 @@ from bandflow.blocks import (
 )
 from bandflow.blocks import _rope_angles, _rope_tables
 from bandflow.errors import ConfigError, DimensionError, NumericError
+from bandflow.moe import BandMoE, RouterState
 from bandflow.optim import Adam
 from bandflow.tensor import ParameterStore, Tape, Tensor, backward
 
@@ -206,10 +207,19 @@ class TestStyleStack:
 
 
 def _block(d=8, heads=2, seed=0):
+    """A block whose expert slot is a one-expert BandMoE, called as
+    block(h, z_p, z_g): the experts route by h itself, a one-token zero
+    prompt and the global style row, densely."""
     params = ParameterStore()
     rng = np.random.default_rng(seed)
-    block = BandBlock(d, heads, rng, params, "blk")
-    return block, params, rng
+    block = BandBlock(d, heads, rng, params, "blk", BandMoE(d, 1, rng, params, "blk.moe"))
+    prompt = Tensor(np.zeros((1, d)))
+
+    def call(h, z_p, z_g):
+        ctx = {"z_v": h, "z_p": prompt, "time_vec": z_g, "state": RouterState()}
+        return block(h, z_p, z_g, moe_ctx=ctx)
+
+    return call, params, rng
 
 
 def _softmax_rows(s):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import bandflow.cli as cli_module
 from bandflow.checkpoint import save_checkpoint
 from bandflow.cli import Options, _read_config, build_parser, cli_dispatch
 from bandflow.errors import BandflowError, ConfigError
@@ -227,6 +228,80 @@ class TestRanges:
     def test_zero_seed_is_accepted(self, tmp_path, capsys):
         code, _, _ = run(SEEDED["gen-data"] + ["--seed", "0", "--out", str(tmp_path)], capsys)
         assert code == 0
+
+
+class TestUnreadOptions:
+    """An option the command does not read stops it before it writes
+    anything: a flag is a usage error (exit 1), a config key a ConfigError
+    (exit 2), each with one line on stderr naming it."""
+
+    @pytest.mark.parametrize("model,flags,named", [
+        ("melody", ["--gamma", "-1", "--warmup", "-5", "--trace"], "--gamma, --trace, --warmup"),
+        ("flow2d", ["--trace"], "--trace"),
+        ("style", ["--gamma", "2"], "--gamma"),
+        ("accomp", ["--warmup", "3"], "--warmup"),
+    ])
+    def test_train_flag_for_another_model_exits_one(self, tmp_path, capsys, model, flags, named):
+        ck = tmp_path / "m.vbnd"
+        code, stdout, err = run(["train", "--model", model, "--steps", "1", "--out", str(ck)]
+                                + flags, capsys)
+        assert code == 1
+        assert stdout == ""
+        assert err == f"usage error: {named} not used by train --model {model}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv,key,user", [
+        (["train", "--model", "flow2d"], "stpes", "train --model flow2d"),
+        (["train", "--model", "flow2d"], "gamma", "train --model flow2d"),
+        (["train", "--model", "melody"], "warmup", "train --model melody"),
+        (["gen-data", "--task", "flow2d"], "steps", "gen-data"),
+        (["sample", "--ckpt", "missing.vbnd"], "gamma", "sample"),
+        (["route-trace"], "n", "route-trace"),
+        (["gradcheck"], "seed", "gradcheck"),
+    ])
+    def test_unread_config_key_exits_two(self, tmp_path, capsys, argv, key, user):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key}=2\n")
+        out = tmp_path / "out"
+        extra = [] if argv[0] == "gradcheck" else ["--out", str(out)]
+        code, stdout, err = run(argv + ["--config", str(cfg)] + extra, capsys)
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: config key {key!r} not used by {user}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
+
+    def test_eval_melody_reads_out_from_config(self, tmp_path, capsys):
+        song = tmp_path / "a.notes"
+        save_notes(NoteSequence(pitches=[60, 62, 64], durations=[1.0] * 3, tempo=120.0), song)
+        cfg = tmp_path / "c.cfg"
+        report = tmp_path / "r.csv"
+        cfg.write_text(f"# the report path\n\nout={report}\n")
+        code, _, _ = run(["eval-melody", str(song), str(song), "--config", str(cfg)], capsys)
+        assert code == 0
+        assert report.exists()
+        report.unlink()
+        cfg.write_text(f"out={report}\nseed=1\n")
+        code, stdout, err = run(["eval-melody", str(song), str(song), "--config", str(cfg)],
+                                capsys)
+        assert (code, stdout) == (2, "")
+        assert err == "error: config key 'seed' not used by eval-melody\n"
+        assert not report.exists()
+
+    def test_route_trace_reads_steps(self, tmp_path, capsys, monkeypatch):
+        trained = []
+        real = cli_module.tr.train_accomp
+
+        def recording(seed, steps):
+            trained.append(steps)
+            return real(seed=seed, steps=steps, n_pairs=20, T=16, width=16, blocks=1, experts=2)
+
+        monkeypatch.setattr(cli_module.tr, "train_accomp", recording)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("steps=2\n")
+        for argv in (["route-trace"], ["route-trace", "--config", str(cfg)]):
+            code, _, _ = run(argv + ["--out", str(tmp_path / "r.csv")], capsys)
+            assert code == 0
+        assert trained == [5, 2]
 
 
 class TestConfigBooleans:

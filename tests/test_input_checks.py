@@ -91,6 +91,15 @@ CASES = {
                                    DimensionError, "targets shape"),
     "cross_entropy_reduction": (lambda: tt.cross_entropy(_z(2, 3), [0, 1], reduction="max"),
                                 ConfigError, "unknown reduction"),
+    "ffn_inner_extents": (lambda: tt.ffn(_z(2, 3), _z(4, 5), _z(5), _z(5, 3), _z(3)),
+                          DimensionError, "ffn inner extents differ"),
+    "ffn_bias_shape": (lambda: tt.ffn(_z(2, 3), _z(3, 5), _z(4), _z(5, 3), _z(3)),
+                       DimensionError, "ffn bias shapes"),
+    "gated_sum_no_terms": (lambda: tt.gated_sum([], _z(2, 3), lambda i: i), DimensionError,
+                           "at least one term"),
+    "gated_sum_column_shape": (
+        lambda: tt.gated_sum([_z(2, 3), _z(2, 4)], _z(2, 2), lambda i: (slice(None), slice(i, i + 1))),
+        DimensionError, "gated_sum term"),
     "mse_shapes": (lambda: tt.mse(_z(2, 3), _z(3, 2)), DimensionError, "mse shapes differ"),
     "rmsnorm_gain": (lambda: tt.rmsnorm(_z(2, 3), _z(2)), DimensionError, "gain shape"),
     "gather_negative_index": (lambda: tt.gather(_z(3, 2), [0, -1]), BoundsError,

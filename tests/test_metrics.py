@@ -414,6 +414,41 @@ class TestF0FrameError:
             f0_frame_error(np.zeros(3), np.zeros(4))
 
 
+def _two_pass_row(gen, gt, gt_key=None):
+    """evaluate_pair's row with gt's key scored a second time, by
+    key_accuracy's key_correlation after best_key's search."""
+    if gt_key is None:
+        gt_key = best_key(gt)
+    ka = key_accuracy(gen, gt, gt_key)
+    rest = evaluate_pair(gen, gt, gt_key).row()[1:]
+    return [ka] + rest
+
+
+_short_notes = st.lists(st.tuples(st.integers(48, 83), st.sampled_from([0.25, 0.5, 1.0, 1.5])),
+                        min_size=1, max_size=12)
+
+
+class TestEvaluatePairScoresTheKeyOnce:
+    """evaluate_pair takes gt's correlation from best_key's search; its
+    report is bitwise the two-pass one, errors included."""
+
+    @staticmethod
+    def _check(gen, gt, gt_key=None):
+        new = _outcome(lambda: evaluate_pair(gen, gt, gt_key).row())
+        assert repr(new) == repr(_outcome(_two_pass_row, gen, gt, gt_key))
+
+    def test_equal_weight_sets(self):
+        gen = _seq([60, 62, 64, 67, 69, 62])
+        for size in (1, 2, 3, 11):
+            for classes in itertools.combinations(range(12), size):
+                self._check(gen, _seq([60 + c for c in classes]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_short_notes, _short_notes, st.sampled_from([None, "C major", (9, "minor"), "F# major"]))
+    def test_random_pairs(self, gen, gt, gt_key):
+        self._check(_seq(*zip(*gen)), _seq(*zip(*gt)), gt_key)
+
+
 class TestEvaluatePair:
     def test_identical_pair_report(self):
         gt = _seq(C_MAJOR_SCALE)

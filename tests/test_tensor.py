@@ -16,7 +16,8 @@ from bandflow.errors import (
     NumericError,
     StateError,
 )
-from bandflow.optim import Adam, sgd_step
+from bandflow.moe import _channel_column, _token_column
+from bandflow.optim import Adam
 from bandflow.tensor import ParameterStore, Tape, Tensor, backward
 
 
@@ -244,13 +245,6 @@ class TestBackward:
 
 
 class TestOptim:
-    def test_sgd(self):
-        store = ParameterStore()
-        w = store.add("w", [1.0])
-        w.grad[...] = [0.5]
-        sgd_step(store, lr=0.1)
-        np.testing.assert_allclose(w.data, [0.95])
-
     def test_adam_quadratic_convergence(self):
         store = ParameterStore()
         w = store.add("w", [0.0])
@@ -305,6 +299,100 @@ def test_gradcheck_cases_reach_every_op(monkeypatch):
     for fn, inputs in gradcheck._cases(np.random.default_rng(0)).values():
         fn(*inputs)
     assert sorted(set(ops) - reached) == []
+
+
+def _output_and_grads(fn, arrays, weights):
+    """fn's output on fresh leaves holding `arrays`, and the leaves'
+    gradients of sum(output * weights)."""
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    with Tape():
+        out = fn(*leaves)
+        backward(tt.sum_(tt.mul(out, weights)))
+    return [out.data] + [t.grad for t in leaves]
+
+
+def _assert_bitwise(fused, unfused):
+    assert len(fused) == len(unfused)
+    for a, b in zip(fused, unfused):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _ffn_chain(h, w1, b1, w2, b2):
+    return tt.add(tt.matmul(tt.silu(tt.add(tt.matmul(h, w1), b1)), w2), b2)
+
+
+def _gated_chain(key):
+    def chain(gates, *outs):
+        total = None
+        for i, o in enumerate(outs):
+            term = tt.mul(o, gates[key(i)])
+            total = term if total is None else tt.add(total, term)
+        return total
+    return chain
+
+
+def _gates(rng, shape, kind):
+    logits = rng.standard_normal(shape)
+    if kind == "one_hot":
+        return np.eye(shape[-1])[logits.argmax(axis=-1)]
+    e = np.exp(logits)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+class TestFusedOpsMatchTheirChains:
+    """ffn and gated_sum give bitwise the output and input gradients of the
+    op chains they replace, at the 2-D, [B, T, d] and lone-row shapes."""
+
+    @pytest.mark.parametrize("lead", [(7,), (1,), (3, 5), (3, 1)])
+    def test_ffn(self, lead):
+        rng = np.random.default_rng(len(lead) * 10 + lead[-1])
+        d, hidden = 6, 12
+        arrays = [rng.standard_normal(lead + (d,)), rng.standard_normal((d, hidden)),
+                  rng.standard_normal(hidden), rng.standard_normal((hidden, d)),
+                  rng.standard_normal(d)]
+        w = rng.standard_normal(lead + (d,))
+        _assert_bitwise(_output_and_grads(tt.ffn, arrays, w),
+                        _output_and_grads(_ffn_chain, arrays, w))
+
+    @pytest.mark.parametrize("kind", ["one_hot", "softmax"])
+    @pytest.mark.parametrize("outs_shape,gates_shape,key", [
+        ((9, 6), (9, 4), _token_column),
+        ((3, 5, 6), (3, 6, 4), _channel_column),
+        ((3, 1, 6), (3, 6, 4), _channel_column),
+    ])
+    def test_gated_sum(self, kind, outs_shape, gates_shape, key):
+        rng = np.random.default_rng(len(outs_shape) + outs_shape[-2])
+        n = gates_shape[-1]
+        arrays = [_gates(rng, gates_shape, kind)]
+        arrays += [rng.standard_normal(outs_shape) for _ in range(n)]
+        w = rng.standard_normal(outs_shape)
+        _assert_bitwise(
+            _output_and_grads(lambda g, *outs: tt.gated_sum(outs, g, key), arrays, w),
+            _output_and_grads(_gated_chain(key), arrays, w))
+
+    def test_expert_group_gradients_bitwise(self):
+        """A dense expert group: ffn outputs feeding gated_sum, with a second
+        use of the gates, as the balance loss makes."""
+        rng = np.random.default_rng(3)
+        d, n = 4, 3
+        weights = []
+        for _ in range(n):
+            weights += [rng.standard_normal((d, 2 * d)), rng.standard_normal(2 * d),
+                        rng.standard_normal((2 * d, d)), rng.standard_normal(d)]
+        arrays = [rng.standard_normal((5, d)), rng.standard_normal((5, n))] + weights
+        w = rng.standard_normal((5, d))
+
+        def group(ffn, mix):
+            def run(h, logits, *ws):
+                gates = tt.softmax(logits)
+                outs = [ffn(h, *ws[4 * i:4 * i + 4]) for i in range(n)]
+                return tt.add(mix(gates, *outs), tt.mul(tt.sum_(gates), 0.5))
+            return run
+
+        fused = group(tt.ffn, lambda g, *outs: tt.gated_sum(outs, g, _token_column))
+        _assert_bitwise(_output_and_grads(fused, arrays, w),
+                        _output_and_grads(group(_ffn_chain, _gated_chain(_token_column)),
+                                          arrays, w))
 
 
 def test_broadcast_new_shape_rejected():

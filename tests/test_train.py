@@ -12,6 +12,7 @@ from bandflow.optim import Adam
 from bandflow.synth import gen_style_toy
 from bandflow.tensor import ParameterStore, Tape, backward
 from bandflow.train import (
+    eval_accomp,
     fit,
     flow2d_mode_stats,
     melody_pitch_accuracy,
@@ -210,6 +211,27 @@ class TestAccompGradientSum:
             total = per_sample[0][1][name] + per_sample[1][1][name] + per_sample[2][1][name]
             np.testing.assert_allclose(grad, total, rtol=1e-12, atol=1e-14, err_msg=name)
         assert max(np.abs(g).max() for g in stepped.values()) > 0
+
+
+def test_accomp_op_counts_stay_at_most_the_fused_counts(monkeypatch):
+    """Tensor ops, counted at tensor._make, of one 4-sample dense accomp
+    training step and of a guided eval_accomp (gamma 3, 16 held-out clips,
+    25 Euler steps).  The bounds are the counts with fused ffn and
+    gated_sum; an op chain that comes back in their place raises them."""
+    made = [0]
+    make = tt._make
+
+    def counting(out, pairs):
+        made[0] += 1
+        return make(out, pairs)
+
+    monkeypatch.setattr(tt, "_make", counting)
+    model, _, _, (_, held) = train_accomp(seed=0, steps=1)
+    assert made[0] <= 856
+    made[0] = 0
+    assert len(held) == 16
+    eval_accomp(model, held, n_tags=model.n_tags, seed=0, gamma=3.0, infer_steps=25)
+    assert made[0] <= 17050
 
 
 class TestMelodyPipeline:
