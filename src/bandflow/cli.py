@@ -33,14 +33,11 @@ READS = {
     "gen-data": ("seed", "n", "out"),
     "train": ("seed", "steps", "out"),
     "sample": ("seed", "n", "out", "trace"),
-    "eval-melody": ("out",),
-    "route-trace": ("seed", "steps", "out"),
+    "route-trace": ("seed", "out"),
     "gradcheck": ("trials",),
 }
 # model -> the train options it reads besides READS["train"]
 MODEL_READS = {"flow2d": (), "style": ("warmup",), "accomp": ("gamma", "trace"), "melody": ()}
-_OPTIONS = {k for keys in (*READS.values(), *MODEL_READS.values()) for k in keys}
-ROUTE_TRACE_STEPS = 5      # training steps of route-trace's model by default
 
 
 class _Usage(Exception):
@@ -84,26 +81,29 @@ class Options:
     """Flag > config-file > default resolution over the options a command
     reads (READS, and MODEL_READS for train).
 
-    A flag the command does not read is a usage error and a config key it
-    does not read a ConfigError, both raised here, before the command
-    writes anything.
+    A train flag the chosen model does not read is a usage error and a
+    config key the command does not read a ConfigError, both raised here,
+    before the command writes anything.
     """
 
     def __init__(self, args):
         self._args = vars(args)
-        reads, user = READS[args.command], args.command
+        self._reads, user = READS[args.command], args.command
         if user == "train":
-            reads, user = reads + MODEL_READS[args.model], f"train --model {args.model}"
-        stray = [f"--{k}" for k, v in self._args.items()
-                 if v is not None and k not in reads and k in _OPTIONS]
-        if stray:
-            raise _Usage(f"{', '.join(stray)} not used by {user}")
-        self._cfg = _read_config(args.config) if getattr(args, "config", None) else {}
+            self._reads += MODEL_READS[args.model]
+            user = f"train --model {args.model}"
+            others = {k for keys in MODEL_READS.values() for k in keys} - set(self._reads)
+            stray = [f"--{k}" for k in sorted(others) if self._args[k] is not None]
+            if stray:
+                raise _Usage(f"{', '.join(stray)} not used by {user}")
+        self._cfg = _read_config(args.config) if args.config else {}
         for key in self._cfg:
-            if key not in reads:
+            if key not in self._reads:
                 raise ConfigError(f"config key {key!r} not used by {user}")
 
     def get(self, key, default, cast=str):
+        if key not in self._reads:
+            raise KeyError(f"option {key!r} is read but not listed in READS/MODEL_READS")
         v = self._args.get(key)
         if v is not None:
             return v
@@ -160,7 +160,6 @@ def build_parser():
     p = sub.add_parser("eval-melody", help="melody metrics for files or directories")
     p.add_argument("generated")
     p.add_argument("reference")
-    p.add_argument("--config")
     p.add_argument("--out")
 
     p = sub.add_parser("eval-f0", help="F0 frame error between two CSV tracks")
@@ -271,7 +270,6 @@ def _note_files(path):
 
 
 def _cmd_eval_melody(args):
-    out = Options(args).get("out", None, str)
     gen_files = _note_files(args.generated)
     ref_files = _note_files(args.reference)
     if len(gen_files) != len(ref_files):
@@ -294,8 +292,8 @@ def _cmd_eval_melody(args):
     for row in rows:
         writer.writerow([f"{v:.6f}" for v in row])
     writer.writerow([f"{v:.6f}" for v in summary])
-    if out:
-        tr.write_csv(out, list(REPORT_COLUMNS),
+    if args.out:
+        tr.write_csv(args.out, list(REPORT_COLUMNS),
                      [[f"{v:.6f}" for v in r] for r in rows + [summary]])
     return 0
 
@@ -324,9 +322,8 @@ def _cmd_eval_f0(args):
 def _cmd_route_trace(args):
     opt = Options(args)
     seed = opt.at_least("seed", 0, 0)
-    steps = opt.at_least("steps", ROUTE_TRACE_STEPS, 1)
     out = opt.get("out", "route.csv", str)
-    model, _, _, (_, held) = tr.train_accomp(seed=seed, steps=steps)
+    model, _, _, (_, held) = tr.train_accomp(seed=seed, steps=5)
     rows = tr.route_trace_rows(model, held[0])
     tr.write_csv(out, tr.ROUTE_COLUMNS, rows)
     print(f"wrote routing trace to {out}")

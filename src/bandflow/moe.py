@@ -119,18 +119,14 @@ class ExpertGroup:
 
     def mix_tokens(self, h, gates):
         """Per-token mixture: output[t] = sum_i gates[t, i] * expert_i(h)[t]."""
-        return self._mix(h, gates, _token_column)
+        return tt.gated_sum([ex(h) for ex in self.experts], gates, _token_column)
 
     def mix_channels(self, h, gates):
         """Per-channel mixture: output[..., c] = sum_j gates[..., c, j] * expert_j(h)[..., c].
 
         h: [..., T, d]; gates: [..., d, N], one gate table per sample.
         """
-        return self._mix(h, gates, _channel_column)
-
-    def _mix(self, h, gates, key):
-        """sum_i expert_i(h) * gates[key(i)], the experts taken in order."""
-        return tt.gated_sum([ex(h) for ex in self.experts], gates, key)
+        return tt.gated_sum([ex(h) for ex in self.experts], gates, _channel_column)
 
 
 class BandMoE:

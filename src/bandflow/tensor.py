@@ -287,26 +287,27 @@ def softplus(a):
 # ---------------------------------------------------------------------------
 # linear algebra / shape ops
 
-def _fold(x, y, outer=False):
+def _fold(x, y):
     """x @ y for x [..., rows, k] and y [k, n], as one GEMM over the folded
-    rows, so each row's bits are those of the 2-D product.  With outer=True,
-    the weight gradient x^T @ y of that product for y [..., rows, n].
+    rows, so each row's bits are those of the 2-D product.
 
     A lone row with leading axes ([..., 1, k]) stays a stack: numpy
     multiplies a [1, k] matrix with gemv, which rounds differently from a
-    GEMM over the folded rows.  Its weight gradient is then summed over the
-    leading axes.
+    GEMM over the folded rows.
     """
-    if x.ndim == 2:
-        return x.T @ y if outer else x @ y
-    if x.shape[-2] == 1:
-        if outer:
-            return _unbroadcast(np.swapaxes(x, -1, -2) @ y, (x.shape[-1], y.shape[-1]))
+    if x.ndim == 2 or x.shape[-2] == 1:
         return x @ y
-    rows = x.reshape(-1, x.shape[-1])
-    if outer:
-        return rows.T @ y.reshape(-1, y.shape[-1])
-    return (rows @ y).reshape(x.shape[:-1] + y.shape[1:])
+    return (x.reshape(-1, x.shape[-1]) @ y).reshape(x.shape[:-1] + y.shape[1:])
+
+
+def _fold_grad(x, g):
+    """The weight gradient x^T @ g of _fold(x, w), g [..., rows, n]; a lone
+    row's stack is summed over its leading axes."""
+    if x.ndim == 2:
+        return x.T @ g
+    if x.shape[-2] == 1:
+        return _unbroadcast(np.swapaxes(x, -1, -2) @ g, (x.shape[-1], g.shape[-1]))
+    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
 
 def matmul(a, b):
@@ -319,7 +320,7 @@ def matmul(a, b):
     if b.ndim == 2:
         return _make(_fold(a.data, b.data), [
             (a, lambda g: _fold(g, b.data.T)),
-            (b, lambda g: _fold(a.data, g, outer=True)),
+            (b, lambda g: _fold_grad(a.data, g)),
         ])
     try:
         np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
@@ -374,9 +375,9 @@ def ffn(h, w1, b1, w2, b2):
 
     return _make(out, [
         (h, lambda g: _fold(grad_pre(g), w1.data.T)),
-        (w1, lambda g: _fold(h.data, grad_pre(g), outer=True)),
+        (w1, lambda g: _fold_grad(h.data, grad_pre(g))),
         (b1, lambda g: _unbroadcast(grad_pre(g), b1.shape)),
-        (w2, lambda g: _fold(act, g, outer=True)),
+        (w2, lambda g: _fold_grad(act, g)),
         (b2, lambda g: _unbroadcast(g, b2.shape)),
     ])
 

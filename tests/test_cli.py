@@ -6,7 +6,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import bandflow.cli as cli_module
 from bandflow.checkpoint import save_checkpoint
 from bandflow.cli import Options, _read_config, build_parser, cli_dispatch
 from bandflow.errors import BandflowError, ConfigError
@@ -256,7 +255,7 @@ class TestUnreadOptions:
         (["train", "--model", "melody"], "warmup", "train --model melody"),
         (["gen-data", "--task", "flow2d"], "steps", "gen-data"),
         (["sample", "--ckpt", "missing.vbnd"], "gamma", "sample"),
-        (["route-trace"], "n", "route-trace"),
+        (["route-trace"], "steps", "route-trace"),
         (["gradcheck"], "seed", "gradcheck"),
     ])
     def test_unread_config_key_exits_two(self, tmp_path, capsys, argv, key, user):
@@ -270,38 +269,21 @@ class TestUnreadOptions:
         assert err == f"error: config key {key!r} not used by {user}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
 
-    def test_eval_melody_reads_out_from_config(self, tmp_path, capsys):
+    def test_eval_melody_takes_no_config(self, tmp_path, capsys):
         song = tmp_path / "a.notes"
         save_notes(NoteSequence(pitches=[60, 62, 64], durations=[1.0] * 3, tempo=120.0), song)
         cfg = tmp_path / "c.cfg"
-        report = tmp_path / "r.csv"
-        cfg.write_text(f"# the report path\n\nout={report}\n")
-        code, _, _ = run(["eval-melody", str(song), str(song), "--config", str(cfg)], capsys)
-        assert code == 0
-        assert report.exists()
-        report.unlink()
-        cfg.write_text(f"out={report}\nseed=1\n")
+        cfg.write_text(f"out={tmp_path / 'r.csv'}\n")
         code, stdout, err = run(["eval-melody", str(song), str(song), "--config", str(cfg)],
                                 capsys)
-        assert (code, stdout) == (2, "")
-        assert err == "error: config key 'seed' not used by eval-melody\n"
-        assert not report.exists()
+        assert (code, stdout) == (1, "")
+        assert err.startswith("usage error: unrecognized arguments: --config")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.notes", "c.cfg"]
 
-    def test_route_trace_reads_steps(self, tmp_path, capsys, monkeypatch):
-        trained = []
-        real = cli_module.tr.train_accomp
-
-        def recording(seed, steps):
-            trained.append(steps)
-            return real(seed=seed, steps=steps, n_pairs=20, T=16, width=16, blocks=1, experts=2)
-
-        monkeypatch.setattr(cli_module.tr, "train_accomp", recording)
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("steps=2\n")
-        for argv in (["route-trace"], ["route-trace", "--config", str(cfg)]):
-            code, _, _ = run(argv + ["--out", str(tmp_path / "r.csv")], capsys)
-            assert code == 0
-        assert trained == [5, 2]
+    def test_reading_an_unlisted_option_fails_at_once(self):
+        opt = Options(build_parser().parse_args(["train", "--model", "flow2d"]))
+        with pytest.raises(KeyError, match="warmup"):
+            opt.get("warmup", 0, int)
 
 
 class TestConfigBooleans:
@@ -384,7 +366,7 @@ class TestTrainAndSample:
                           "--trace", "--out", str(ck)], capsys)
         assert code == 0
         route = tmp_path / "route.csv"
-        code, _, _ = run(["route-trace", "--config", str(cfg), "--out", str(route)], capsys)
+        code, _, _ = run(["route-trace", "--out", str(route)], capsys)
         assert code == 0
         headers = [p.read_text().splitlines()[0]
                    for p in (ck.with_suffix(".route.csv"), route)]
