@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 import warnings
 from pathlib import Path
@@ -20,7 +21,7 @@ from .errors import BandflowError, ConfigError, DataError
 from .flow import TRACE_COLUMNS, FlowConfig, MLPEstimator
 from .gradcheck import gradcheck_all
 from .melody import load_notes, save_notes
-from .metrics import REPORT_COLUMNS, evaluate_pair, f0_frame_error, InvalidMetric
+from .metrics import REPORT_COLUMNS, evaluate_pairs, f0_frame_error
 from .synth import gen_flow2d, gen_melody_grammar, gen_style_toy, gen_toy_pairs
 
 # task -> the number of items it writes by default
@@ -128,7 +129,10 @@ class Options:
         return value
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: parsing keeps no
+    state between calls, and building it costs more than a small command."""
     parser = _Parser(prog="bandflow")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -269,32 +273,36 @@ def _note_files(path):
     return [p]
 
 
-def _cmd_eval_melody(args):
-    gen_files = _note_files(args.generated)
-    ref_files = _note_files(args.reference)
-    if len(gen_files) != len(ref_files):
+def _song_pairs(generated, reference):
+    """(generated, reference) song files: two directories pair by file name,
+    anything else by sorted position."""
+    gen_files, ref_files = _note_files(generated), _note_files(reference)
+    if Path(generated).is_dir() and Path(reference).is_dir():
+        gen_names = {f.name for f in gen_files}
+        lone = sorted(gen_names ^ {f.name for f in ref_files})
+        if lone:
+            side, other = ((generated, reference) if lone[0] in gen_names
+                           else (reference, generated))
+            raise BandflowError(f"{Path(side) / lone[0]}: no song of that name in {other}")
+    elif len(gen_files) != len(ref_files):
         raise BandflowError(
             f"{len(gen_files)} generated vs {len(ref_files)} reference songs")
-    rows = []
-    for g, r in zip(gen_files, ref_files):
-        gen, ref = load_notes(g), load_notes(r)
-        try:
-            rows.append(evaluate_pair(gen, ref).row())
-        except InvalidMetric:
-            pass
-        except DataError as e:
-            raise DataError(f"{g} vs {r}: {e}") from None
+    return list(zip(gen_files, ref_files))
+
+
+def _cmd_eval_melody(args):
+    pairs = _song_pairs(args.generated, args.reference)
+    loaded = ((load_notes(g), load_notes(r), None, f"{g} vs {r}") for g, r in pairs)
+    rows = [report.row() for report in evaluate_pairs(loaded)]
     if not rows:
         raise BandflowError("no valid song pairs")
     summary = np.asarray(rows).mean(axis=0).tolist()
+    table = [[f"{v:.6f}" for v in row] for row in rows + [summary]]
+    if args.out:
+        tr.write_csv(args.out, list(REPORT_COLUMNS), table)
     writer = csv.writer(sys.stdout)
     writer.writerow(REPORT_COLUMNS)
-    for row in rows:
-        writer.writerow([f"{v:.6f}" for v in row])
-    writer.writerow([f"{v:.6f}" for v in summary])
-    if args.out:
-        tr.write_csv(args.out, list(REPORT_COLUMNS),
-                     [[f"{v:.6f}" for v in r] for r in rows + [summary]])
+    writer.writerows(table)
     return 0
 
 

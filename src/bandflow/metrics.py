@@ -273,45 +273,107 @@ def expand_sixteenths(notes: NoteSequence):
 
 
 def dtw_distance(a, b):
-    """DTW with absolute-difference cost and steps (1,0), (0,1), (1,1).
+    """DTW with absolute-difference cost and steps (1,0), (0,1), (1,1):
+    the one-pair case of dtw_distances."""
+    return dtw_distances([(a, b)])[0]
 
-    Cells with equal i + j do not depend on each other, so the table is
-    filled one anti-diagonal at a time from the two diagonals before it;
-    memory is O(n + m). A diagonal is stored by i + 1, with inf in every slot
-    outside its cells; slot 0 of diagonal -2 is the virtual cell
-    D[-1, -1] = 0. Each cell adds the same cost to the same minimum as the
-    cell-by-cell recurrence, so the result is bitwise the same.
+
+def dtw_distances(pairs):
+    """dtw_distance of each (a, b) pair, in input order; the pairs advance
+    together, one anti-diagonal of every table per step.
+
+    Cells with equal i + j do not depend on each other, so a table fills one
+    anti-diagonal at a time from the two before it.  A pair's rows are its
+    longer series.  Pair q owns slots off[q] to off[q] + n[q] of each
+    diagonal's flat buffer: a boundary (row -1), then its rows.  Pairs sit
+    longest first (most diagonals), so the live pairs are a prefix and one
+    slice serves them all, from the first pair's lowest real row to the last
+    live pair's highest, shrinking as pairs finish.  Memory is
+    O(sum of n + m); nothing is padded to the longest pair.
+
+    A cell's cost is |A[x] - B[x + shift - k]|: A holds the rows, with inf in
+    each boundary slot, and B each pair's other series reversed, so one
+    shifted slice of B meets every row i at its column k - i.  A slot with
+    no such column reads a zero pad or another pair's value and never feeds
+    a real cell: a column below 0 stays inf, as its neighbours are, and
+    columns from m up feed only each other and the next pair's boundary,
+    which the inf in A keeps inf.  Every real cell adds the same cost to the
+    same minimum as the cell-by-cell recurrence, so each result is bitwise
+    the same; DTW is symmetric bit for bit, so which series gives the rows
+    does not matter.  A non-finite value would break that bookkeeping and is
+    a DataError.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.size == 0 or b.size == 0:
-        raise DataError("empty series")
-    n, m = a.size, b.size
-    b_rev = b[::-1].copy()
-    older = np.full(n + 1, np.inf)
-    older[0] = 0.0
-    last = np.full(n + 1, np.inf)
-    cur = np.full(n + 1, np.inf)
-    cost = np.empty(n)
-    for k in range(n + m - 1):
-        lo, hi = max(0, k - m + 1), min(k + 1, n)     # cells (i, k - i), lo <= i < hi
-        out, c = cur[lo + 1:hi + 1], cost[:hi - lo]
-        np.minimum(last[lo:hi], last[lo + 1:hi + 1], out=out)
-        np.minimum(out, older[lo:hi], out=out)
-        np.subtract(a[lo:hi], b_rev[m - 1 - k + lo:m - 1 - k + hi], out=c)
-        np.add(np.abs(c, out=c), out, out=out)
-        # cur holds diagonal k - 3's values. Neither lo nor hi decreases
-        # with k, so of its stale slots only slot lo is read again.
-        cur[lo] = np.inf
-        older, last, cur = last, cur, older
-    return float(last[n])
+    series = []
+    for a, b in pairs:
+        a = np.asarray(a, dtype=np.float64)
+        b = np.asarray(b, dtype=np.float64)
+        if a.size == 0 or b.size == 0:
+            raise DataError("empty series")
+        series.append((a, b) if a.size >= b.size else (b, a))
+    if not series:
+        return []
+    order = sorted(range(len(series)), key=lambda p: -sum(s.size for s in series[p]))
+    n = [series[p][0].size for p in order]
+    m = [series[p][1].size for p in order]
+    off = [0]
+    for size in n:
+        off.append(off[-1] + size + 1)
+    total = off.pop()
+    # Longest first, with the longer series as rows, so n[q] >= m[q + 1]:
+    # pair q + 1's B values start above pair q's, and every B slice stays
+    # inside B.
+    shift = m[0] - 1
+    A = np.zeros(total)
+    B = np.zeros(total + shift)
+    for o, p in zip(off, order):
+        a, b = series[p]
+        A[o + 1:o + 1 + a.size] = a
+        B[o + shift + 2 - b.size:o + shift + 2] = b[::-1]
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise DataError("non-finite value in series")
+    A[off] = np.inf
+    rows0 = np.add(off, 1)
+    older = np.full(total, np.inf)
+    last = np.full(total, np.inf)
+    last[rows0] = np.abs(A[rows0] - B[rows0 + shift])    # diagonal 0: D[0, 0]
+    cur = np.full(total, np.inf)
+    cost = np.empty(total)
+    final = [rows + cols - 2 for rows, cols in zip(n, m)]   # each pair's last diagonal
+    found = np.empty(len(order))
+    minimum, subtract, add, absolute = np.minimum, np.subtract, np.add, np.abs
+    live, k = len(order), 0
+    while True:
+        done = live
+        while live and final[live - 1] == k:
+            live -= 1
+        found[order[live:done]] = last[[off[q] + n[q] for q in range(live, done)]]
+        if not live:
+            break
+        # Diagonals until the last live pair, q, finishes: rows from the
+        # first pair's lowest real row to q's highest.
+        q = live - 1
+        start, stop = off[q] + 1, off[q] + 1 + n[q]
+        for k in range(k + 1, final[q] + 1):
+            s, e = max(1, k - m[0] + 2), min(start + k + 1, stop)
+            out, c = cur[s:e], cost[:e - s]
+            minimum(last[s - 1:e - 1], last[s:e], out=out)
+            minimum(out, older[s - 1:e - 1], out=out)
+            subtract(A[s:e], B[s + shift - k:e + shift - k], out=c)
+            add(absolute(c, out=c), out, out=out)
+            older, last, cur = last, cur, older
+    return found.tolist()
+
+
+def _centred_grids(gen, gt):
+    """The mean-centred sixteenth-grid pitch series whose DTW is MD."""
+    a = expand_sixteenths(gen)
+    b = expand_sixteenths(gt)
+    return a - a.mean(), b - b.mean()
 
 
 def melody_distance(gen: NoteSequence, gt: NoteSequence):
     """DTW between mean-centered sixteenth-grid pitch series."""
-    a = expand_sixteenths(gen)
-    b = expand_sixteenths(gt)
-    return dtw_distance(a - a.mean(), b - b.mean())
+    return dtw_distance(*_centred_grids(gen, gt))
 
 
 def f0_frame_error(gen, gt):
@@ -333,6 +395,38 @@ def f0_frame_error(gen, gt):
 def evaluate_pair(gen: NoteSequence, gt: NoteSequence, gt_key=None):
     """Single-pair MelodyReport; gt_key defaults to the estimated key of gt,
     whose score from that search is gt's correlation in the key accuracy."""
+    terms, grids = _report_terms(gen, gt, gt_key)
+    return MelodyReport(*terms, MD=dtw_distance(*grids))
+
+
+def evaluate_pairs(pairs):
+    """evaluate_pair's reports for (gen, gt, gt_key, label) tuples, in order,
+    leaving out each pair whose metrics are undefined (InvalidMetric).
+
+    Pairs are taken and scored one at a time, so the first error is the one
+    a loop over evaluate_pair would raise; a DataError from scoring is
+    re-raised as "label: message" unless the label is None.  Only the DTWs
+    wait: every MD comes from one dtw_distances call, bitwise
+    evaluate_pair's.
+    """
+    kept, grids = [], []
+    for gen, gt, gt_key, label in pairs:
+        try:
+            terms, grid = _report_terms(gen, gt, gt_key)
+        except InvalidMetric:
+            continue
+        except DataError as e:
+            if label is None:
+                raise
+            raise DataError(f"{label}: {e}") from None
+        kept.append(terms)
+        grids.append(grid)
+    return [MelodyReport(*terms, MD=md) for terms, md in zip(kept, dtw_distances(grids))]
+
+
+def _report_terms(gen, gt, gt_key):
+    """evaluate_pair's KA, APD, TD, PD and DD, and the two series MD is the
+    DTW of, computed in evaluate_pair's order."""
     if gt_key is None:
         r, gt_key = _scored_best_key(gt)
     else:
@@ -340,8 +434,7 @@ def evaluate_pair(gen: NoteSequence, gt: NoteSequence, gt_key=None):
     ka = _key_ratio(gen, r, gt_key)
     apd, td = apd_td(gen, gt)
     pd_val, dd_val = dist_similarity([gen], [gt])
-    md = melody_distance(gen, gt)
-    return MelodyReport(KA=ka, APD=apd, TD=td, PD=pd_val, DD=dd_val, MD=md)
+    return (ka, apd, td, pd_val, dd_val), _centred_grids(gen, gt)
 
 
 _TABLE = None

@@ -16,7 +16,7 @@ from . import tensor as tt
 from .errors import DimensionError, NumericError
 from .flow import FlowConfig, FlowSample, MLPEstimator, cfm_loss, euler_sample, make_flow_sample
 from .melody import MelodyBatch, MelodyModel, melody_loss, NoteSequence
-from .metrics import evaluate_pair, InvalidMetric
+from .metrics import evaluate_pairs
 from .models import AccompFlowModel, StylePredictorModel
 from .moe import RouterState, TAU_LOW, gate_entropy, tau_schedule
 from .optim import Adam
@@ -259,15 +259,9 @@ def melody_pitch_accuracy(model, songs):
 
 def melody_report(model, songs):
     """Mean held-out metric row in the standard column order, plus per-song rows."""
-    rows = []
-    for s in songs:
-        mb = MelodyBatch(phonemes=s.phonemes, tag=s.tag, target=s.notes)
-        gen = model.predict(mb)
-        try:
-            rep = evaluate_pair(gen, s.notes, gt_key=(s.tag, "major"))
-        except InvalidMetric:
-            continue
-        rows.append(rep.row())
+    pairs = ((model.predict(MelodyBatch(phonemes=s.phonemes, tag=s.tag, target=s.notes)),
+              s.notes, (s.tag, "major"), None) for s in songs)
+    rows = [rep.row() for rep in evaluate_pairs(pairs)]
     mean_row = np.asarray(rows).mean(axis=0).tolist()
     return mean_row, rows
 

@@ -1,5 +1,9 @@
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +14,8 @@ from bandflow.checkpoint import save_checkpoint
 from bandflow.cli import Options, _read_config, build_parser, cli_dispatch
 from bandflow.errors import BandflowError, ConfigError
 from bandflow.flow import MLPEstimator
-from bandflow.melody import NoteSequence, save_notes
-from bandflow.metrics import REPORT_COLUMNS
+from bandflow.melody import NoteSequence, load_notes, save_notes
+from bandflow.metrics import REPORT_COLUMNS, expand_sixteenths
 from bandflow.train import ROUTE_COLUMNS
 
 
@@ -495,6 +499,142 @@ class TestEvalMelody:
         assert code == 2
         assert out == ""
         assert err == "error: no valid song pairs\n"
+
+
+class TestEvalMelodyDirectories:
+    """Two directories pair their songs by file name; the scores of a
+    directory are those of its pairs run one at a time."""
+
+    @staticmethod
+    def _song(path, pitches, beats=1.0):
+        save_notes(NoteSequence(pitches=list(pitches), durations=[beats] * len(pitches),
+                                tempo=120.0), path)
+
+    def _dirs(self, tmp_path, gen_names, ref_names):
+        rng = np.random.default_rng(5)
+        for side, names in (("gen", gen_names), ("ref", ref_names)):
+            (tmp_path / side).mkdir()
+            for i, name in enumerate(names):
+                self._song(tmp_path / side / name, 60 + rng.integers(0, 12, size=4 + 3 * i))
+        return str(tmp_path / "gen"), str(tmp_path / "ref")
+
+    @pytest.mark.parametrize("gen_names,ref_names,missing", [
+        (["a.notes", "b.notes"], ["b.notes", "c.notes"], "gen/a.notes"),
+        (["a.notes", "c.notes"], ["a.notes", "b.notes", "c.notes"], "ref/b.notes"),
+        ([], ["a.notes"], "ref/a.notes"),
+    ])
+    def test_unmatched_name_exits_two(self, tmp_path, capsys, gen_names, ref_names, missing):
+        gen, ref = self._dirs(tmp_path, gen_names, ref_names)
+        code, out, err = run(["eval-melody", gen, ref], capsys)
+        assert (code, out) == (2, "")
+        other = ref if missing.startswith("gen") else gen
+        assert err == f"error: {tmp_path / missing}: no song of that name in {other}\n"
+
+    def _scored(self, argv, capsys):
+        code, out, err = run(["eval-melody", *argv], capsys)
+        assert (code, err) == (0, "")
+        return out.splitlines()
+
+    def test_rows_equal_each_pair_alone(self, tmp_path, capsys):
+        rng = np.random.default_rng(6)
+        (tmp_path / "gen").mkdir()
+        (tmp_path / "ref").mkdir()
+        # one pair has a flat pitch-class histogram, so it is left out
+        for i, n in enumerate([5, 23, 9, 40, 14]):
+            ref = 55 + rng.integers(0, 24, size=n)
+            gen = np.clip(ref + rng.integers(-2, 3, size=n), 0, 127)
+            self._song(tmp_path / "gen" / f"s{i}.notes", gen, beats=0.5)
+            self._song(tmp_path / "ref" / f"s{i}.notes",
+                       range(60, 72) if i == 2 else ref, beats=0.5)
+        lines = self._scored([str(tmp_path / "gen"), str(tmp_path / "ref")], capsys)
+        alone = []
+        for i in range(5):
+            argv = [str(tmp_path / side / f"s{i}.notes") for side in ("gen", "ref")]
+            if i == 2:
+                assert run(["eval-melody", *argv], capsys)[0] == 2
+                continue
+            single = self._scored(argv, capsys)
+            assert len(single) == 3 and single[0] == lines[0]
+            alone.append(single[1])
+        assert lines[1:-1] == alone
+        rows = np.array([row.split(",") for row in alone], dtype=float)
+        summary = np.array(lines[-1].split(","), dtype=float)
+        np.testing.assert_allclose(summary, rows.mean(axis=0), rtol=0, atol=1e-6)
+
+    def test_directory_runs_the_longest_pairs_diagonals_once(self, tmp_path, capsys,
+                                                               monkeypatch):
+        """The DTWs of a directory advance together: two in-place np.minimum
+        passes per diagonal step, so the calls follow the most diagonals of
+        one pair, max(n + m - 1), not the sum a loop per pair would make."""
+        gen, ref = self._dirs(tmp_path, [f"s{i}.notes" for i in range(4)],
+                              [f"s{i}.notes" for i in range(4)])
+        diagonals = []
+        for i in range(4):
+            a, b = (expand_sixteenths(load_notes(Path(d) / f"s{i}.notes")) for d in (gen, ref))
+            diagonals.append(a.size + b.size - 1)
+        calls = [0]
+        minimum = np.minimum
+
+        def counting(*args, **kwargs):
+            calls[0] += "out" in kwargs        # the DTW's in-place passes
+            return minimum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "minimum", counting)
+        self._scored([gen, ref], capsys)
+        assert 2 * (max(diagonals) - 1) <= calls[0] <= 2 * max(diagonals)
+        assert 2 * max(diagonals) < 2 * sum(d - 1 for d in diagonals)
+
+    def test_failed_out_write_prints_nothing(self, tmp_path, capsys):
+        gen, ref = self._dirs(tmp_path, ["a.notes"], ["a.notes"])
+        out_csv = tmp_path / "nodir" / "x.csv"
+        code, out, err = run(["eval-melody", gen, ref, "--out", str(out_csv)], capsys)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert str(out_csv) in err
+
+
+class TestParserReuse:
+    """cli_dispatch builds its parser once per process; a run of calls in one
+    process behaves as each call in a fresh process."""
+
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, capsys,
+                                                        monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")   # argparse wraps usage to the terminal width
+        songs = tmp_path / "songs"
+        songs.mkdir()
+        save_notes(NoteSequence(pitches=[60, 64, 67, 62], durations=[1.0, 0.5, 0.5, 2.0],
+                                tempo=120.0), songs / "a.notes")
+        calls = [
+            ["train", "--model", "nope"],
+            ["eval-melody", str(songs), str(songs)],
+            ["train", "--model", "flow2d", "--steps", "1", "--out", str(tmp_path / "f.vbnd")],
+            ["gen-data", "--task", "flow2d", "--n", "100", "--out", str(tmp_path / "d")],
+        ]
+        env = dict(os.environ, COLUMNS="80",
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        fresh = []
+        for argv in calls:
+            proc = subprocess.run([sys.executable, "-m", "bandflow.cli", *argv],
+                                  capture_output=True, text=True, env=env, cwd=tmp_path)
+            fresh.append((proc.returncode, proc.stdout.replace("\r\n", "\n"), proc.stderr))
+        monkeypatch.chdir(tmp_path)
+        in_process = []
+        for argv in calls:
+            code, out, err = run(argv, capsys)
+            in_process.append((code, out.replace("\r\n", "\n"), err))
+        assert [c for c, _, _ in in_process] == [1, 0, 0, 0]
+        assert in_process == fresh
+
+    def test_no_flag_leaks_into_a_later_parse(self):
+        fresh = build_parser.__wrapped__
+        for argv in (["train", "--model", "style", "--warmup", "3", "--seed", "2"],
+                     ["sample", "--ckpt", "x.vbnd", "--trace", "--n", "4"],
+                     ["gen-data", "--task", "flow2d", "--out", "elsewhere"]):
+            build_parser().parse_args(argv)
+        for argv in (["train", "--model", "flow2d"], ["sample", "--ckpt", "y.vbnd"],
+                     ["gen-data", "--task", "style-toy"], ["eval-melody", "g", "r"]):
+            assert vars(build_parser().parse_args(argv)) == vars(fresh().parse_args(argv))
+        assert build_parser() is build_parser()
 
 
 class TestEvalF0:

@@ -21,7 +21,9 @@ from bandflow.metrics import (
     best_key,
     dist_similarity,
     dtw_distance,
+    dtw_distances,
     evaluate_pair,
+    evaluate_pairs,
     expand_sixteenths,
     f0_frame_error,
     key_accuracy,
@@ -341,6 +343,65 @@ class TestDtw:
         assert dtw_distance(a, b) == _reference_dtw(a, b)
 
 
+# lengths of the two series of one pair: 1-70, never equal
+_pair_sizes = st.tuples(st.integers(1, 70), st.integers(1, 70)).filter(lambda s: s[0] != s[1])
+
+
+@st.composite
+def _pair_lists(draw):
+    """1-9 pairs of run-length series like the sixteenth grid (mean-centred
+    pitches held for 1-8 steps).  The pairs have free sizes or one shared
+    diagonal count n + m - 1, and the pair with the most diagonals is moved
+    to a drawn position."""
+    count = draw(st.integers(1, 9))
+    if draw(st.booleans()):
+        sizes = draw(st.lists(_pair_sizes, min_size=count, max_size=count))
+    else:
+        diagonals = draw(st.integers(2, 100))
+        rows = st.integers(max(1, diagonals - 69), min(70, diagonals))
+        rows = rows.filter(lambda n: 2 * n != diagonals + 1)
+        sizes = [(n, diagonals + 1 - n)
+                 for n in draw(st.lists(rows, min_size=count, max_size=count))]
+    longest = max(range(count), key=lambda p: sum(sizes[p]))
+    at = draw(st.integers(0, count - 1))
+    sizes[longest], sizes[at] = sizes[at], sizes[longest]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def grid(size):
+        runs = rng.integers(1, 9, size=size)
+        series = np.repeat(rng.integers(48, 84, size=size), runs)[:size].astype(float)
+        return series - series.mean()
+
+    return [(grid(n), grid(m)) for n, m in sizes]
+
+
+class TestDtwDistances:
+    """dtw_distances advances every pair one anti-diagonal per step; each
+    result is bitwise the cell-by-cell recurrence's, in input order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_pair_lists())
+    def test_equals_reference_in_input_order(self, pairs):
+        got = dtw_distances(pairs)
+        assert [v.hex() for v in got] == [_reference_dtw(a, b).hex() for a, b in pairs]
+        for (a, b), v in zip(pairs, got):
+            assert dtw_distance(a, b) == dtw_distances([(a, b)])[0] == v
+
+    def test_no_pairs(self):
+        assert dtw_distances([]) == []
+
+    def test_empty_series_rejected_in_any_pair(self):
+        with pytest.raises(DataError, match="empty series"):
+            dtw_distances([([1.0, 2.0], [3.0]), ([1.0], [])])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(DataError, match="non-finite"):
+            dtw_distances([([1.0, 2.0], [3.0]), ([1.0, bad], [0.5, 2.0])])
+        with pytest.raises(DataError, match="non-finite"):
+            dtw_distance([bad], [1.0])
+
+
 class TestMelodyDistance:
     def test_sixteenth_expansion(self):
         series = expand_sixteenths(_seq([60, 62], [1.0, 0.25]))
@@ -447,6 +508,29 @@ class TestEvaluatePairScoresTheKeyOnce:
     @given(_short_notes, _short_notes, st.sampled_from([None, "C major", (9, "minor"), "F# major"]))
     def test_random_pairs(self, gen, gt, gt_key):
         self._check(_seq(*zip(*gen)), _seq(*zip(*gt)), gt_key)
+
+
+class TestEvaluatePairs:
+    def test_reports_equal_evaluate_pair_and_skip_invalid_pairs(self):
+        rng = np.random.default_rng(4)
+        flat = _seq(list(range(60, 72)))          # no key correlation: InvalidMetric
+        songs = [_seq(rng.integers(55, 80, size=int(n)).tolist(),
+                      rng.choice([0.25, 0.5, 1.0], size=int(n)).tolist())
+                 for n in rng.integers(4, 20, size=8)]
+        pairs = [(songs[0], songs[1]), (songs[2], flat), (songs[3], songs[4]),
+                 (songs[5], songs[6]), (songs[7], songs[0])]
+        got = evaluate_pairs((g, r, None, None) for g, r in pairs)
+        want = [evaluate_pair(g, r) for g, r in pairs if r is not flat]
+        assert [rep.row() for rep in got] == [rep.row() for rep in want]
+
+    def test_data_error_names_the_labelled_pair(self):
+        good = _seq(C_MAJOR_SCALE)
+        overlong = _seq([60, 62], [1.0, 1e300])
+        message = "pitch-class histogram overflows; a duration is too long"
+        with pytest.raises(DataError, match=f"^second: {message}$"):
+            evaluate_pairs([(good, good, None, "first"), (overlong, good, None, "second")])
+        with pytest.raises(DataError, match=f"^{message}$"):
+            evaluate_pairs([(overlong, good, None, None)])
 
 
 class TestEvaluatePair:
