@@ -75,6 +75,8 @@ def rope_rotate(x, positions=None, heads=1):
 
 def positional_encoding(T, d):
     """Fixed sin/cos position features of width d (d even)."""
+    if d % 2 != 0:
+        raise ConfigError(f"positional encoding needs an even width, got {d}")
     ang = np.arange(T)[:, None] * sinusoid_ladder(d)[None, :]
     pe = np.zeros((T, d))
     pe[:, 0::2] = np.sin(ang)
@@ -170,17 +172,20 @@ class FeedForward:
 def style_alignment_stack(z_ct, z_p, layers):
     """Iteratively stylize content tokens by attending into prompt tokens.
 
-    Each layer adds sdp_attention(current, z_p, z_p) residually; the fused
-    condition is the stylized stream concatenated with the original content.
-    Position features are added to z_p before attention.  Returns a
-    [P, 2d] tensor; callers treat an empty z_p as the null condition.
+    z_ct: [..., P, d] content, z_p: [..., P', d] prompt tokens; leading axes
+    are a batch, each row attending only into its own prompt.  Each layer
+    adds sdp_attention(current, z_p, z_p) residually; the fused condition is
+    the stylized stream concatenated with the original content.  Position
+    features are added to z_p before attention.  Returns a [..., P, 2d]
+    tensor.  An empty z_p is a DimensionError when layers > 0; the null
+    condition is a learned prompt, not an empty one.
     """
     z = z_ct
     if layers > 0:
-        zp = tt.add(z_p, positional_encoding(z_p.shape[0], z_p.shape[1]))
+        zp = tt.add(z_p, positional_encoding(*z_p.shape[-2:]))
         for _ in range(layers):
             z = tt.add(z, sdp_attention(z, zp, zp))
-    return tt.concat([z, z_ct], axis=1)
+    return tt.concat([z, z_ct], axis=-1)
 
 
 class BandBlock:

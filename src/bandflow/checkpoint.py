@@ -86,7 +86,10 @@ def load_checkpoint(path) -> dict:
             # a zero extent empties the payload, but numpy still refuses
             # shapes whose other extents overflow its size limit
             raise DataError(f"{path}: extents {shape} of {name!r} are too large") from None
-        out[name] = arr.astype(np.float64)
+        # a signalling-NaN payload loads as a quiet NaN, like any other NaN,
+        # instead of raising numpy's invalid-cast warning
+        with np.errstate(invalid="ignore"):
+            out[name] = arr.astype(np.float64)
     if off != len(blob):
         raise DataError(f"{path}: {len(blob) - off} trailing bytes after {count} tensors")
     return out

@@ -42,6 +42,9 @@ class FlowConfig:
 
 @dataclass
 class FlowSample:
+    """A point on the straight path: one clip with a float t, or a batch of
+    [B, ...] endpoints with one time per row, shaped to broadcast against
+    them (stack_flow_samples builds one)."""
     x0: np.ndarray
     x1: np.ndarray
     t: float
@@ -71,20 +74,33 @@ def cfg_field(v_cond, v_uncond, gamma):
     return tt.add(tt.mul(v_cond, float(gamma)), tt.mul(v_uncond, 1.0 - float(gamma)))
 
 
-def cfm_loss(estimator, samples, conds=None):
-    """Mean squared field error over a batch of FlowSamples."""
-    if conds is None:
-        conds = [None] * len(samples)
-    if len(conds) != len(samples):
-        raise DimensionError("one condition entry per sample required")
-    total = None
-    for s, c in zip(samples, conds):
-        v = estimator(Tensor(s.xt), s.t, c)
-        if v.shape != s.xt.shape:
-            raise DimensionError(f"estimator output {v.shape} != input {s.xt.shape}")
-        term = tt.mse(v, Tensor(s.u))
-        total = term if total is None else tt.add(total, term)
-    return tt.mul(total, 1.0 / len(samples))
+def stack_flow_samples(samples):
+    """One batched FlowSample from one-clip samples of one shape."""
+    x0 = np.stack([s.x0 for s in samples])
+    t = np.array([s.t for s in samples]).reshape((-1,) + (1,) * (x0.ndim - 1))
+    return FlowSample(x0=x0, x1=np.stack([s.x1 for s in samples]), t=t)
+
+
+def cfm_loss(estimator, sample, cond=None):
+    """Mean squared field error of one estimator call over a FlowSample.
+
+    A batched sample hands the estimator its B times as a [B] array, and
+    `cond`, if given, must have one row per sample: an array, or a tuple of
+    arrays as euler_sample's.  A one-clip sample passes its float t and
+    `cond` as they are.
+    """
+    t = sample.t
+    if np.ndim(t):
+        n = sample.x0.shape[0]
+        t = np.reshape(t, -1)
+        rows = () if cond is None else cond if isinstance(cond, tuple) else (cond,)
+        if t.shape != (n,) or any(np.shape(c)[:1] != (n,) for c in rows):
+            raise DimensionError(f"one time and one condition entry per sample required "
+                                 f"({n} samples)")
+    v = estimator(Tensor(sample.xt), t, cond)
+    if v.shape != sample.xt.shape:
+        raise DimensionError(f"estimator output {v.shape} != input {sample.xt.shape}")
+    return tt.mse(v, Tensor(sample.u))
 
 
 def euler_sample(estimator, x_init, cond, cfg: FlowConfig, t_start=0.0,
@@ -132,10 +148,11 @@ def noisy_prompt_start(prompt, rng, t_start=0.5):
 # time embedding
 
 def sinusoidal_embedding(t):
-    """Classic sin/cos features of scalar times; t is a float or 1-D array."""
+    """Classic sin/cos features of times: [1, dim] for a float, t.shape +
+    (dim,) for an array."""
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    ang = t[:, None] * sinusoid_ladder(TIME_EMBED_DIM)[None, :]
-    return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
+    ang = t[..., None] * sinusoid_ladder(TIME_EMBED_DIM)
+    return np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
 
 
 class TimeEmbedding:
@@ -189,7 +206,8 @@ class MLPEstimator:
 
 
 class WaveNetEstimator:
-    """Non-causal dilated-convolution field estimator over [channels, frames].
+    """Non-causal dilated-convolution field estimator over [..., channels,
+    frames].
 
     Gated residual blocks (tanh * sigmoid) with skip connections; the time
     embedding is projected into the condition stream; the output projection
@@ -224,24 +242,34 @@ class WaveNetEstimator:
         self.b_out = p.add("wavenet.b_out", np.zeros(x_channels))
 
     def __call__(self, xt, t, cond):
-        """xt: [x_channels, T]; cond: [cond_channels, T] tensor or array."""
+        """xt: [..., x_channels, T]; t: a float, or an array of one time per
+        row (shape xt.shape[:-2]); cond: [..., cond_channels, T] tensor or
+        array.  Every op stacks over the leading axes, so each row's output
+        is bitwise its own one-row call's."""
         x = xt if isinstance(xt, Tensor) else Tensor(xt)
-        if x.ndim != 2 or x.shape[0] != self.x_channels:
-            raise DimensionError(f"expected [{self.x_channels}, T] input, got {x.shape}")
-        T = x.shape[1]
-        c = cond if isinstance(cond, Tensor) else Tensor(cond)
-        if c.shape != (self.cond_channels, T):
+        if x.ndim < 2 or x.shape[-2] != self.x_channels:
             raise DimensionError(
-                f"condition shape {c.shape} != ({self.cond_channels}, {T})")
-        temb = self.time(float(t))          # [1, cond_channels]
-        c = tt.add(c, tt.swapaxes(temb, 0, 1))  # broadcast over frames
+                f"expected [{self.x_channels}, T] input with optional leading axes, got {x.shape}")
+        lead, T = x.shape[:-2], x.shape[-1]
+        c = cond if isinstance(cond, Tensor) else Tensor(cond)
+        if c.shape != lead + (self.cond_channels, T):
+            raise DimensionError(
+                f"condition shape {c.shape} != {lead + (self.cond_channels, T)}")
+        if np.ndim(t) == 0:
+            temb = self.time(float(t))                  # [1, cond_channels]
+        elif np.shape(t) == lead:
+            # [..., 1, cond_channels]: one gemv per row, as in a one-row call
+            temb = self.time(np.reshape(t, lead + (1,)))
+        else:
+            raise DimensionError(f"times of shape {np.shape(t)} for input rows {lead}")
+        c = tt.add(c, tt.swapaxes(temb, -1, -2))        # broadcast over frames
         h = tt.matmul(self.w_in, x)
         r = self.residual_channels
         skip_sum = None
         for blk, dil in zip(self._blocks, self.dilations):
             z = tt.conv1d(h, blk["conv"], dilation=dil, bias=blk["conv_b"])
             z = tt.add(z, tt.matmul(blk["cond"], c))
-            gate = tt.mul(tt.tanh(z[:r, :]), tt.sigmoid(z[r:, :]))
+            gate = tt.mul(tt.tanh(z[..., :r, :]), tt.sigmoid(z[..., r:, :]))
             h = tt.add(h, tt.matmul(blk["res"], gate))
             s = tt.matmul(blk["skip"], gate)
             skip_sum = s if skip_sum is None else tt.add(skip_sum, s)

@@ -8,6 +8,8 @@ denominator.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import tensor as tt
@@ -158,6 +160,11 @@ def _cases(rng):
         "gated_sum_lone_row": (gated_sum(_channel_column),
                                [_t(rng, rows, n, heads)]
                                + [_t(rng, rows, 1, n) for _ in range(heads)]),
+        "conv1d_batched": (lambda x, w, b: tt.conv1d(x, w, dilation=2, bias=b),
+                           [_t(rng, rows, cin, T + 2), _t(rng, cout, cin, width),
+                            _t(rng, cout)]),
+        "gather_2d": (functools.partial(tt.gather, indices=rng.integers(m, size=(rows, T))),
+                      [_t(rng, m, n)]),
     }
 
 

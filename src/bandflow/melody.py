@@ -119,13 +119,24 @@ def log_duration_loss(predicted, target):
     return tt.mse(p, Tensor(np.log(tgt + 1.0)))
 
 
-def melody_loss(logits, durations, target: NoteSequence):
-    """Summed pitch cross-entropy plus summed squared duration error."""
-    tgt_p = np.asarray(target.pitches, dtype=np.int64)
-    tgt_d = np.asarray(target.durations, dtype=np.float64)
-    if logits.shape[0] != len(target) or durations.shape != tgt_d.shape:
+def melody_loss(logits, durations, target):
+    """Summed pitch cross-entropy plus summed squared duration error.
+
+    logits [n, K] and durations [n] score one NoteSequence; [B, n, K] and
+    [B, n] score a list of B NoteSequences of length n, one per row.
+    """
+    one = isinstance(target, NoteSequence)
+    targets = [target] if one else list(target)
+    if len({len(t) for t in targets}) != 1:
+        raise DimensionError("melody_loss needs one or more targets of one length")
+    tgt_p = np.asarray([t.pitches for t in targets], dtype=np.int64)
+    tgt_d = np.asarray([t.durations for t in targets], dtype=np.float64)
+    if one:
+        tgt_p, tgt_d = tgt_p[0], tgt_d[0]
+    if logits.shape[:-1] != tgt_p.shape or durations.shape != tgt_d.shape:
         raise DimensionError("prediction / target length mismatch")
-    pitch_term = tt.cross_entropy(logits, tgt_p, reduction="sum")
+    flat = tt.reshape(logits, (-1, logits.shape[-1]))
+    pitch_term = tt.cross_entropy(flat, tgt_p.reshape(-1), reduction="sum")
     diff = tt.sub(durations, Tensor(tgt_d))
     return tt.add(pitch_term, tt.sum_(tt.mul(diff, diff)))
 
@@ -174,19 +185,26 @@ class MelodyModel:
         self.w_dur = p.add("melody.w_dur", rng.standard_normal((d, 1)) / np.sqrt(d))
         self.b_dur = p.add("melody.b_dur", np.zeros(1))
 
-    def forward(self, batch: MelodyBatch):
-        """Returns (pitch logits [N, K], durations [N] via softplus head)."""
-        ids = np.asarray(batch.phonemes, dtype=np.int64)
-        if ids.min(initial=0) < 0 or ids.max(initial=-1) >= self.n_phonemes:
+    def forward(self, phonemes, tags):
+        """Pitch logits [B, n, K] and durations [B, n] (softplus head) of
+        phoneme ids [B, n] and tag ids [B]; one song is phonemes [n] and one
+        tag id, giving [n, K] and [n].  Each row's outputs are bitwise its
+        own one-song call's."""
+        ids = np.asarray(phonemes, dtype=np.int64)
+        tags = np.asarray(tags, dtype=np.int64)
+        if ids.ndim == 0 or ids.size == 0:
+            raise DataError(f"melody model needs at least one phoneme, got shape {ids.shape}")
+        if tags.shape != ids.shape[:-1]:
+            raise DimensionError(f"tags {tags.shape} do not match phonemes {ids.shape}")
+        if ids.min() < 0 or ids.max() >= self.n_phonemes:
             raise BoundsError(f"phoneme id out of range [0, {self.n_phonemes})")
-        if not 0 <= batch.tag < self.n_tags:
-            raise BoundsError(f"tag id {batch.tag} out of range [0, {self.n_tags})")
-        n = len(ids)
+        if tags.min() < 0 or tags.max() >= self.n_tags:
+            raise BoundsError(f"tag id out of range [0, {self.n_tags})")
+        n = ids.shape[-1]
         d = self.width
         h = tt.gather(self.phoneme_emb, ids)
         h = tt.add(h, positional_encoding(n, d))
-        tag_row = tt.gather(self.tag_emb, np.array([batch.tag]))
-        z_p = tt.reshape(tag_row, (MELODY_TAG_TOKENS, d))
+        z_p = tt.reshape(tt.gather(self.tag_emb, tags), tags.shape + (MELODY_TAG_TOKENS, d))
         for layer in self._layers:
             hn = tt.rmsnorm(h, layer["gain1"])
             h = tt.add(h, sdp_attention(tt.matmul(hn, layer["wq"]),
@@ -197,10 +215,10 @@ class MelodyModel:
             h = tt.add(h, layer["ffn"](tt.rmsnorm(h, layer["gain3"])))
         logits = tt.add(tt.matmul(h, self.w_pitch), self.b_pitch)
         dur = tt.softplus(tt.add(tt.matmul(h, self.w_dur), self.b_dur))
-        return logits, tt.reshape(dur, (n,))
+        return logits, tt.reshape(dur, ids.shape)
 
     def predict(self, batch: MelodyBatch, tempo=None) -> NoteSequence:
-        logits, dur = self.forward(batch)
+        logits, dur = self.forward(batch.phonemes, batch.tag)
         pitches = logits.data.argmax(axis=1).tolist()
         return NoteSequence(pitches=pitches, durations=dur.data.tolist(),
                             tempo=tempo if tempo is not None else batch.target.tempo)

@@ -126,6 +126,10 @@ class StylePredictorModel:
     prompt tokens; the fused condition drives a dilated-convolution
     estimator over the phoneme axis.  A learned vocal-prompt row is added
     to the content stream (its index 0 row is the dropped-prompt state).
+    Call signature matches the estimator contract, batched:
+    (xt [B, channels, P], t, cond=(phonemes [B, P], tags [B], vocal flags
+    [B])), where tag n_tags selects the null condition; one clip is the
+    batch of one.
     """
 
     def __init__(self, rng, n_tags, n_phonemes, channels):
@@ -145,16 +149,22 @@ class StylePredictorModel:
                                         layers=STYLE_WAVENET_LAYERS)
         self.params.merge(self.wavenet.params)
 
-    def condition(self, phonemes, tag, vocal_prompt):
+    def condition(self, phonemes, tags, vocal_prompts):
+        """The fused condition [B, 2*embed, P] of phoneme ids [B, P], tag
+        ids [B] and vocal-prompt flags [B]."""
         ids = np.asarray(phonemes, dtype=np.int64)
+        tags = np.asarray(tags, dtype=np.int64)
+        vocal = np.asarray(vocal_prompts, dtype=np.int64)
+        if ids.ndim != 2 or tags.shape != ids.shape[:1] or vocal.shape != ids.shape[:1]:
+            raise DimensionError(f"style condition needs phonemes [B, P] with B tags and B "
+                                 f"vocal flags, got {ids.shape}, {tags.shape}, {vocal.shape}")
         z_ct = tt.gather(self.phoneme_emb, ids)
-        z_ct = tt.add(z_ct, tt.gather(self.vocal_emb, np.array([1 if vocal_prompt else 0])))
-        idx = self.n_tags if tag is None else int(tag)
-        z_p = tt.reshape(tt.gather(self.tag_emb, np.array([idx])),
-                         (STYLE_TAG_TOKENS, STYLE_EMBED))
-        fused = style_alignment_stack(z_ct, z_p, STYLE_ALIGN_LAYERS)   # [P, 2*embed]
-        return tt.swapaxes(fused, 0, 1)                                # [2*embed, P]
+        z_ct = tt.add(z_ct, tt.gather(self.vocal_emb, vocal[:, None]))
+        z_p = tt.reshape(tt.gather(self.tag_emb, tags),
+                         tags.shape + (STYLE_TAG_TOKENS, STYLE_EMBED))
+        fused = style_alignment_stack(z_ct, z_p, STYLE_ALIGN_LAYERS)   # [B, P, 2*embed]
+        return tt.swapaxes(fused, -1, -2)                              # [B, 2*embed, P]
 
     def __call__(self, xt, t, cond):
-        phonemes, tag, vocal_prompt = cond
-        return self.wavenet(xt, t, self.condition(phonemes, tag, vocal_prompt))
+        phonemes, tags, vocal_prompts = cond
+        return self.wavenet(xt, t, self.condition(phonemes, tags, vocal_prompts))

@@ -293,9 +293,10 @@ def _fold(x, y):
 
     A lone row with leading axes ([..., 1, k]) stays a stack: numpy
     multiplies a [1, k] matrix with gemv, which rounds differently from a
-    GEMM over the folded rows.
+    GEMM over the folded rows.  So does a one-column y ([k, 1]): gemv's
+    rows round differently with the row count unless it is a multiple of 4.
     """
-    if x.ndim == 2 or x.shape[-2] == 1:
+    if x.ndim == 2 or x.shape[-2] == 1 or y.shape[1] == 1:
         return x @ y
     return (x.reshape(-1, x.shape[-1]) @ y).reshape(x.shape[:-1] + y.shape[1:])
 
@@ -521,6 +522,8 @@ def attention(q, k, v, scale):
             f"attention expects operands of rank >= 2, got {q.shape}, {k.shape}, {v.shape}")
     if k.shape[-2] != v.shape[-2]:
         raise DimensionError(f"key/value counts differ: {k.shape[-2]} vs {v.shape[-2]}")
+    if k.shape[-2] == 0:
+        raise DimensionError(f"attention over zero keys: {k.shape}")
     if q.shape[-1] != k.shape[-1]:
         raise DimensionError(f"query width {q.shape[-1]} != key width {k.shape[-1]}")
     try:
@@ -634,36 +637,40 @@ def adaln(h, scale, shift):
 def conv1d(x, kernels, dilation=1, bias=None):
     """Centered (non-causal) dilated 1-D convolution, length-preserving.
 
-    x: [c_in, T], kernels: [c_out, c_in, W] with odd W, bias: [c_out] or None.
+    x: [..., c_in, T], kernels: [c_out, c_in, W] with odd W, bias: [c_out]
+    or None.  Each tap is one product stacked over the leading axes, so
+    every row's bits are those of its own [c_in, T] call.
     """
     x, w = _as_tensor(x), _as_tensor(kernels)
-    if x.ndim != 2 or w.ndim != 3:
-        raise DimensionError(f"conv1d expects x[c,T] and kernels[o,c,W], got {x.shape}, {w.shape}")
+    if x.ndim < 2 or w.ndim != 3:
+        raise DimensionError(
+            f"conv1d expects x[..., c, T] and kernels[o, c, W], got {x.shape}, {w.shape}")
     c_out, c_in, width = w.shape
     if width % 2 == 0:
         raise ConfigError(f"conv1d kernel width must be odd, got {width}")
-    if x.shape[0] != c_in:
-        raise DimensionError(f"conv1d channel mismatch: x has {x.shape[0]}, kernels expect {c_in}")
+    if x.shape[-2] != c_in:
+        raise DimensionError(f"conv1d channel mismatch: x has {x.shape[-2]}, kernels expect {c_in}")
     dilation = int(dilation)
     if dilation < 1:
         raise ConfigError(f"dilation must be >= 1, got {dilation}")
-    T = x.shape[1]
+    T = x.shape[-1]
     pad = (width // 2) * dilation
-    xp = np.pad(x.data, ((0, 0), (pad, pad)))
-    out = np.zeros((c_out, T))
-    for k in range(width):
-        out += w.data[:, :, k] @ xp[:, k * dilation:k * dilation + T]
+    xp = np.pad(x.data, ((0, 0),) * (x.ndim - 1) + ((pad, pad),))
+    taps = [xp[..., k * dilation:k * dilation + T] for k in range(width)]
+    out = np.zeros(x.shape[:-2] + (c_out, T))
+    for k, tap in enumerate(taps):
+        out += w.data[:, :, k] @ tap
 
     def grad_x(g):
         gp = np.zeros_like(xp)
         for k in range(width):
-            gp[:, k * dilation:k * dilation + T] += w.data[:, :, k].T @ g
-        return gp[:, pad:pad + T]
+            gp[..., k * dilation:k * dilation + T] += w.data[:, :, k].T @ g
+        return gp[..., pad:pad + T]
 
     def grad_w(g):
         gw = np.zeros_like(w.data)
-        for k in range(width):
-            gw[:, :, k] = g @ xp[:, k * dilation:k * dilation + T].T
+        for k, tap in enumerate(taps):
+            gw[:, :, k] = _unbroadcast(g @ np.swapaxes(tap, -1, -2), (c_out, c_in))
         return gw
 
     pairs = [(x, grad_x), (w, grad_w)]
@@ -672,7 +679,7 @@ def conv1d(x, kernels, dilation=1, bias=None):
         if b.shape != (c_out,):
             raise DimensionError(f"bias shape {b.shape} != ({c_out},)")
         out = out + b.data[:, None]
-        pairs.append((b, lambda g: g.sum(axis=1)))
+        pairs.append((b, lambda g: _unbroadcast(g.sum(axis=-1), b.shape)))
     return _make(out, pairs)
 
 

@@ -14,7 +14,8 @@ import numpy as np
 
 from . import tensor as tt
 from .errors import DimensionError, NumericError
-from .flow import FlowConfig, FlowSample, MLPEstimator, cfm_loss, euler_sample, make_flow_sample
+from .flow import (FlowConfig, FlowSample, MLPEstimator, cfm_loss, euler_sample,
+                   make_flow_sample, stack_flow_samples)
 from .melody import MelodyBatch, MelodyModel, melody_loss, NoteSequence
 from .metrics import evaluate_pairs
 from .models import AccompFlowModel, StylePredictorModel
@@ -97,7 +98,7 @@ def train_flow2d(seed, steps, batch=256, lr=2e-3):
         x0 = rng.standard_normal((batch, 2))
         t = rng.integers(cfg.train_timesteps, size=batch) / cfg.train_timesteps
         s = FlowSample(x0, x1, t[:, None])
-        yield lambda: tt.mse(est(Tensor(s.xt), t), Tensor(s.u))
+        yield lambda: cfm_loss(est, s)
 
     losses = fit(Adam(est.params, lr=lr), steps, draws)
     return est, losses, cfg
@@ -133,14 +134,17 @@ def train_style_predictor(seed, steps, warmup_steps=0):
                                 channels=data[0].x1.shape[0])
 
     def draws(step):
-        samples, conds = [], []
+        # per sample: index, text drop, vocal drop, then its noise and time
+        samples, phonemes, tags, vocal = [], [], [], []
         for _ in range(STYLE_BATCH):
             s = data[int(rng.integers(len(data)))]
-            tag = None if rng.uniform() < STYLE_TEXT_DROP else s.tag
-            vocal = rng.uniform() >= STYLE_VOCAL_DROP
+            tags.append(STYLE_TAGS if rng.uniform() < STYLE_TEXT_DROP else s.tag)
+            vocal.append(rng.uniform() >= STYLE_VOCAL_DROP)
             samples.append(make_flow_sample(s.x1, rng, cfg))
-            conds.append((s.phonemes, tag, vocal))
-        yield lambda: cfm_loss(model, samples, conds)
+            phonemes.append(s.phonemes)
+        sample = stack_flow_samples(samples)
+        cond = (np.stack(phonemes), np.array(tags), np.array(vocal))
+        yield lambda: cfm_loss(model, sample, cond)
 
     def frozen(name):
         return name.startswith("wavenet")
@@ -164,7 +168,7 @@ def train_accomp(seed, steps, batch=4, n_pairs=ACCOMP_PAIRS, n_tags=ACCOMP_TAGS,
                             experts=experts, blocks=blocks)
 
     def loss_with_balance(sample, cond):
-        return tt.add(cfm_loss(model, [sample], [cond]), model.balance())
+        return tt.add(cfm_loss(model, sample, cond), model.balance())
 
     def draws(step):
         # dense routing draws its Gumbel noise from `rng` during each forward
@@ -225,6 +229,24 @@ def route_trace_rows(model, pair):
 # ---------------------------------------------------------------------------
 # melody model
 
+def melody_batch_loss(model, songs):
+    """Mean over songs of each song's melody_loss divided by its length.
+
+    Songs of one length share one forward over a [songs, n] batch, the
+    lengths taken in the order they first appear.
+    """
+    by_length = {}
+    for s in songs:
+        by_length.setdefault(len(s.phonemes), []).append(s)
+    loss = None
+    for n, group in by_length.items():
+        logits, durs = model.forward(np.stack([s.phonemes for s in group]),
+                                     np.array([s.tag for s in group]))
+        term = tt.mul(melody_loss(logits, durs, [s.notes for s in group]), 1.0 / n)
+        loss = term if loss is None else tt.add(loss, term)
+    return tt.mul(loss, 1.0 / len(songs))
+
+
 def train_melody(seed, steps, batch=8, n_songs=MELODY_SONGS, holdout=20,
                  width=64, layers=2):
     songs = gen_melody_grammar(seed, n_songs)
@@ -233,14 +255,8 @@ def train_melody(seed, steps, batch=8, n_songs=MELODY_SONGS, holdout=20,
     model = MelodyModel(n_phonemes=7, n_tags=12, rng=rng, width=width, layers=layers)
 
     def batch_loss():
-        loss = None
-        for _ in range(batch):
-            s = train_songs[int(rng.integers(len(train_songs)))]
-            mb = MelodyBatch(phonemes=s.phonemes, tag=s.tag, target=s.notes)
-            logits, durs = model.forward(mb)
-            term = tt.mul(melody_loss(logits, durs, s.notes), 1.0 / len(s.notes))
-            loss = term if loss is None else tt.add(loss, term)
-        return tt.mul(loss, 1.0 / batch)
+        picked = [train_songs[int(rng.integers(len(train_songs)))] for _ in range(batch)]
+        return melody_batch_loss(model, picked)
 
     losses = fit(Adam(model.params, lr=3e-3), steps, lambda step: [batch_loss])
     return model, losses, (train_songs, held)
@@ -249,8 +265,7 @@ def train_melody(seed, steps, batch=8, n_songs=MELODY_SONGS, holdout=20,
 def melody_pitch_accuracy(model, songs):
     correct = total = 0
     for s in songs:
-        mb = MelodyBatch(phonemes=s.phonemes, tag=s.tag, target=s.notes)
-        logits, _ = model.forward(mb)
+        logits, _ = model.forward(s.phonemes, s.tag)
         pred = logits.data.argmax(axis=1)
         correct += int((pred == np.asarray(s.notes.pitches)).sum())
         total += len(s.notes)

@@ -13,6 +13,7 @@ from bandflow.flow import (
     euler_sample,
     make_flow_sample,
     noisy_prompt_start,
+    stack_flow_samples,
 )
 from bandflow.optim import Adam
 from bandflow.tensor import Tape, Tensor, backward
@@ -73,20 +74,20 @@ class TestCfmLoss:
     def _samples(self, n=4):
         rng = np.random.default_rng(0)
         cfg = FlowConfig()
-        return [make_flow_sample(rng.standard_normal(3), rng, cfg) for _ in range(n)]
+        return stack_flow_samples([make_flow_sample(rng.standard_normal(3), rng, cfg)
+                                   for _ in range(n)])
 
     def test_exact_field_zero_loss(self):
         samples = self._samples()
-        est = FnField(lambda x, t: np.zeros(3))
-        for s in samples:
-            s.u[...] = 0.0
+        est = FnField(lambda x, t: np.zeros((4, 3)))
+        samples.u[...] = 0.0
         assert cfm_loss(est, samples).item() == 0.0
 
     def test_offset_field_unit_loss(self):
         samples = self._samples()
 
         class OffsetField:
-            def __call__(self, x, t, cond, _samples=samples):
+            def __call__(self, x, t, cond, _samples=(samples,)):
                 for s in _samples:
                     if np.array_equal(s.xt, x.data):
                         return Tensor(s.u + 1.0)
@@ -108,8 +109,8 @@ class TestCfmLoss:
         opt = Adam(est.params, lr=5e-3)
 
         def batch_loss():
-            samples = [make_flow_sample(np.array([x]), rng, cfg)
-                       for x in rng.choice(data, size=16)]
+            samples = stack_flow_samples([make_flow_sample(np.array([x]), rng, cfg)
+                                          for x in rng.choice(data, size=16)])
             return cfm_loss(est, samples)
 
         init = batch_loss().item()
@@ -250,7 +251,7 @@ class TestWaveNet:
             t = float(rng.integers(cfg.train_timesteps)) / cfg.train_timesteps
             sample = FlowSample(x0=x0, x1=x1, t=t)
             with Tape():
-                loss = cfm_loss(est, [sample], [Tensor(cond)])
+                loss = cfm_loss(est, sample, Tensor(cond))
                 backward(loss)
             opt.step()
             opt.zero_grad()

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 import bandflow.tensor as tt
-from bandflow.blocks import GatedAttention, rope_rotate
+from bandflow.blocks import GatedAttention, positional_encoding, rope_rotate, style_alignment_stack
 from bandflow.checkpoint import load_into, save_checkpoint
 from bandflow.errors import BoundsError, ConfigError, DataError, DimensionError, StateError
 from bandflow.flow import FlowConfig, FlowSample, WaveNetEstimator, cfm_loss
-from bandflow.melody import REST, NoteSequence, length_regulate, load_notes, log_duration_loss
+from bandflow.melody import (REST, MelodyModel, NoteSequence, length_regulate, load_notes,
+                             log_duration_loss)
 from bandflow.metrics import apd_td
 from bandflow.models import AccompFlowModel
 from bandflow.moe import BandMoE, ExpertGroup, RouterState, gumbel_gate
@@ -61,7 +62,8 @@ CASES = {
                               DimensionError, "endpoint shapes differ"),
     "cfm_loss_condition_count": (
         lambda: cfm_loss(lambda x, t, c: x,
-                         [FlowSample(x0=np.zeros(2), x1=np.ones(2), t=0.5)] * 2, [None]),
+                         FlowSample(x0=np.zeros((2, 2)), x1=np.ones((2, 2)),
+                                    t=np.full((2, 1), 0.5)), (np.zeros(1),)),
         DimensionError, "one condition entry per sample"),
     "wavenet_input_channels": (_wavenet_wrong_channels, DimensionError, r"expected \[3, T\]"),
     "rope_positions_length": (lambda: rope_rotate(_z(4, 4), positions=np.arange(3)),
@@ -77,7 +79,7 @@ CASES = {
                                   "token counts differ"),
     "length_regulate_negative_duration": (lambda: length_regulate(_z(2, 3), [1, -1]),
                                           DataError, "non-negative"),
-    "conv1d_rank": (lambda: tt.conv1d(_z(2, 3, 4), _z(1, 2, 3)), DimensionError,
+    "conv1d_rank": (lambda: tt.conv1d(_z(4), _z(1, 2, 3)), DimensionError,
                     "conv1d expects"),
     "conv1d_channels": (lambda: tt.conv1d(_z(2, 5), _z(1, 3, 3)), DimensionError,
                         "channel mismatch"),
@@ -119,6 +121,13 @@ CASES = {
                          "unknown router mode"),
     "log_duration_loss_shapes": (lambda: log_duration_loss(_z(3), [1, 2]), DimensionError,
                                  "shapes differ"),
+    "attention_zero_keys": (lambda: style_alignment_stack(_z(3, 4), _z(0, 4), layers=1),
+                            DimensionError, "zero keys"),
+    "melody_forward_no_phonemes": (
+        lambda: MelodyModel(n_phonemes=3, n_tags=2, rng=_rng(), width=8, layers=1).forward([], 0),
+        DataError, "at least one phoneme"),
+    "positional_encoding_odd_width": (lambda: positional_encoding(4, 5), ConfigError,
+                                      "even width"),
     "apd_td_only_rests": (
         lambda: apd_td(NoteSequence(pitches=[REST], durations=[1.0], tempo=120.0),
                        NoteSequence(pitches=[60], durations=[1.0], tempo=120.0)),

@@ -6,15 +6,17 @@ import bandflow.train as train_module
 
 from bandflow.checkpoint import load_checkpoint, load_into, save_checkpoint
 from bandflow.errors import NumericError
-from bandflow.flow import FlowConfig, FlowSample, cfm_loss
+from bandflow.flow import FlowConfig, FlowSample, cfm_loss, stack_flow_samples
+from bandflow.melody import MelodyModel, NoteSequence, melody_loss
 from bandflow.models import StylePredictorModel
 from bandflow.optim import Adam
-from bandflow.synth import gen_style_toy
+from bandflow.synth import MelodySample, gen_melody_grammar, gen_style_toy
 from bandflow.tensor import ParameterStore, Tape, backward
 from bandflow.train import (
     eval_accomp,
     fit,
     flow2d_mode_stats,
+    melody_batch_loss,
     melody_pitch_accuracy,
     random_melody_baseline,
     route_trace_rows,
@@ -142,9 +144,10 @@ class TestStylePredictorPipeline:
         load_into(fresh.params, path)
         data = gen_style_toy(3, 4)
         rng = np.random.default_rng(0)
-        samples = [FlowSample(x0=rng.standard_normal(s.x1.shape), x1=s.x1, t=0.25)
-                   for s in data]
-        conds = [(s.phonemes, s.tag, True) for s in data]
+        samples = stack_flow_samples(
+            [FlowSample(x0=rng.standard_normal(s.x1.shape), x1=s.x1, t=0.25) for s in data])
+        conds = (np.stack([s.phonemes for s in data]), np.array([s.tag for s in data]),
+                 np.ones(len(data), dtype=bool))
         a = cfm_loss(model, samples, conds).item()
         b = cfm_loss(fresh, samples, conds).item()
         assert a == b
@@ -232,6 +235,130 @@ def test_accomp_op_counts_stay_at_most_the_fused_counts(monkeypatch):
     assert len(held) == 16
     eval_accomp(model, held, n_tags=model.n_tags, seed=0, gamma=3.0, infer_steps=25)
     assert made[0] <= 17050
+
+
+class _Recorder:
+    """Stands in for Adam: keeps each parameter's gradient at the step."""
+
+    stepped = {}
+
+    def __init__(self, params, lr):
+        self.params = params
+
+    def step(self, skip=None):
+        self.stepped.update((n, t.grad.copy()) for n, t in self.params.items())
+
+    def zero_grad(self):
+        self.params.zero_grad()
+
+
+def _one_step(monkeypatch, run):
+    """The logged loss and the parameter gradients of one training step."""
+    monkeypatch.setattr(_Recorder, "stepped", {})
+    monkeypatch.setattr(train_module, "Adam", _Recorder)
+    losses = run()[1]
+    assert len(losses) == 1
+    return losses[0], _Recorder.stepped
+
+
+def _assert_same_step(batched, oracle):
+    (loss, grads), (ref_loss, ref_grads) = batched, oracle
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    assert grads.keys() == ref_grads.keys()
+    for name, grad in grads.items():
+        np.testing.assert_allclose(grad, ref_grads[name], rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref_grads[name]).max(), err_msg=name)
+    assert max(np.abs(g).max() for g in grads.values()) > 0
+
+
+def _per_sample_cfm_loss(estimator, sample, cond):
+    """The oracle: the loop the batched cfm_loss replaced, the mean of one
+    batch-of-one loss per sample."""
+    total = None
+    n = sample.x0.shape[0]
+    for i in range(n):
+        row = FlowSample(x0=sample.x0[i:i + 1], x1=sample.x1[i:i + 1], t=sample.t[i:i + 1])
+        term = cfm_loss(estimator, row, tuple(c[i:i + 1] for c in cond))
+        total = term if total is None else tt.add(total, term)
+    return tt.mul(total, 1.0 / n)
+
+
+def _per_song_loss(model, songs):
+    """The oracle: the loop melody_batch_loss replaced, one forward per song."""
+    total = None
+    for s in songs:
+        logits, durs = model.forward(s.phonemes, s.tag)
+        term = tt.mul(melody_loss(logits, durs, s.notes), 1.0 / len(s.notes))
+        total = term if total is None else tt.add(total, term)
+    return tt.mul(total, 1.0 / len(songs))
+
+
+class TestBatchedStepsMatchPerSampleLoops:
+    """One batched forward per style and melody step: its gradient and logged
+    loss equal those of the per-sample loop it replaced, to 1e-12."""
+
+    def test_style_step(self, monkeypatch):
+        class RandomizedModel(StylePredictorModel):
+            # the zero-initialized WaveNet output would zero most gradients
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                rng = np.random.default_rng(7)
+                for _, p in self.params.items():
+                    p.data[...] = rng.standard_normal(p.shape) * 0.3
+
+        monkeypatch.setattr(train_module, "StylePredictorModel", RandomizedModel)
+
+        def run():
+            return train_style_predictor(seed=2, steps=1)
+
+        batched = _one_step(monkeypatch, run)
+        monkeypatch.setattr(train_module, "cfm_loss", _per_sample_cfm_loss)
+        _assert_same_step(batched, _one_step(monkeypatch, run))
+
+    def test_melody_step(self, monkeypatch):
+        def run():
+            return train_melody(seed=2, steps=1)
+
+        batched = _one_step(monkeypatch, run)
+        monkeypatch.setattr(train_module, "melody_batch_loss", _per_song_loss)
+        _assert_same_step(batched, _one_step(monkeypatch, run))
+
+    def test_melody_loss_over_mixed_lengths(self):
+        songs = gen_melody_grammar(3, 7)
+        cut = [3, 16, 1, 3, 9, 16, 1]
+        songs = [MelodySample(phonemes=s.phonemes[:k], tag=s.tag,
+                              notes=NoteSequence(pitches=s.notes.pitches[:k],
+                                                 durations=s.notes.durations[:k]))
+                 for s, k in zip(songs, cut)]
+        results = []
+        for loss_fn in (melody_batch_loss, _per_song_loss):
+            model = MelodyModel(n_phonemes=7, n_tags=12, rng=np.random.default_rng(5),
+                                width=16, layers=1)
+            with Tape():
+                loss = loss_fn(model, songs)
+                backward(loss)
+            results.append((loss.item(), {n: t.grad.copy() for n, t in model.params.items()}))
+        _assert_same_step(*results)
+
+
+def test_style_and_melody_op_counts_stay_at_most_the_batched_counts(monkeypatch):
+    """Tensor ops, counted at tensor._make, of one style and one melody
+    training step.  The bounds are the counts of one batched forward per
+    step (the per-sample loops took 248 and 344); a loop that comes back
+    raises them."""
+    made = [0]
+    make = tt._make
+
+    def counting(out, pairs):
+        made[0] += 1
+        return make(out, pairs)
+
+    monkeypatch.setattr(tt, "_make", counting)
+    train_style_predictor(seed=0, steps=1)
+    assert made[0] <= 61
+    made[0] = 0
+    train_melody(seed=0, steps=1)
+    assert made[0] <= 44
 
 
 class TestMelodyPipeline:
