@@ -22,11 +22,19 @@ from .flow import TRACE_COLUMNS, FlowConfig, MLPEstimator
 from .gradcheck import gradcheck_all
 from .melody import load_notes, save_notes
 from .metrics import REPORT_COLUMNS, evaluate_pairs, f0_frame_error
-from .synth import gen_flow2d, gen_melody_grammar, gen_style_toy, gen_toy_pairs
+from .synth import (FLOW2D_MIN_POINTS, gen_flow2d, gen_melody_grammar, gen_style_toy,
+                    gen_toy_pairs)
 
 # task -> the number of items it writes by default
 TASKS = {"flow2d": tr.FLOW2D_DATA_N, "accomp-toy": tr.ACCOMP_PAIRS,
          "melody-grammar": tr.MELODY_SONGS, "style-toy": tr.STYLE_SAMPLES}
+# task -> its generator, called as gen(seed, n)
+GENERATORS = {
+    "flow2d": gen_flow2d,
+    "accomp-toy": functools.partial(gen_toy_pairs, n_tags=tr.ACCOMP_TAGS),
+    "melody-grammar": gen_melody_grammar,
+    "style-toy": functools.partial(gen_style_toy, n_tags=tr.STYLE_TAGS),
+}
 # model -> the number of training steps it takes by default
 MODELS = {"flow2d": 1500, "style": 200, "accomp": 300, "melody": 400}
 # command -> the options it reads, from a flag or from the config file
@@ -186,27 +194,25 @@ def _cmd_gen_data(args):
     opt = Options(args)
     seed = opt.at_least("seed", 0, 0)
     task = args.task
-    n = opt.at_least("n", TASKS[task], 1)
+    n = opt.at_least("n", TASKS[task], FLOW2D_MIN_POINTS if task == "flow2d" else 1)
     out = Path(opt.get("out", "data", str))
+    data = GENERATORS[task](seed, n)      # before mkdir: a failed draw writes nothing
     out.mkdir(parents=True, exist_ok=True)
     if task == "flow2d":
-        pts = gen_flow2d(seed, n)
-        np.savetxt(out / "flow2d.csv", pts, delimiter=",", header="x,y", comments="")
+        np.savetxt(out / "flow2d.csv", data, delimiter=",", header="x,y", comments="")
     elif task == "accomp-toy":
-        pairs = gen_toy_pairs(seed, n, n_tags=tr.ACCOMP_TAGS)
         np.savez(out / "accomp_toy.npz",
-                 v=np.stack([p.v for p in pairs]),
-                 a=np.stack([p.a for p in pairs]),
-                 tag=np.array([p.tag for p in pairs]))
+                 v=np.stack([p.v for p in data]),
+                 a=np.stack([p.a for p in data]),
+                 tag=np.array([p.tag for p in data]))
     elif task == "melody-grammar":
-        for i, song in enumerate(gen_melody_grammar(seed, n)):
+        for i, song in enumerate(data):
             save_notes(song.notes, out / f"song{i:04d}.notes")
     else:
-        samples = gen_style_toy(seed, n, n_tags=tr.STYLE_TAGS)
         np.savez(out / "style_toy.npz",
-                 phonemes=np.stack([s.phonemes for s in samples]),
-                 tag=np.array([s.tag for s in samples]),
-                 x1=np.stack([s.x1 for s in samples]))
+                 phonemes=np.stack([s.phonemes for s in data]),
+                 tag=np.array([s.tag for s in data]),
+                 x1=np.stack([s.x1 for s in data]))
     print(f"wrote {task} dataset to {out}")
     return 0
 

@@ -182,15 +182,14 @@ class MLPEstimator:
         self.dim = dim
         self.params = ParameterStore()
         self.time = TimeEmbedding(hidden, rng, self.params, prefix="mlp.time")
-        sizes = [dim + hidden, hidden, hidden]
-        self._layers = []
-        for i, (a, b) in enumerate(zip(sizes[:-1], sizes[1:])):
-            w = self.params.add(f"mlp.w{i}", rng.standard_normal((a, b)) / np.sqrt(a))
-            bias = self.params.add(f"mlp.b{i}", np.zeros(b))
-            self._layers.append((w, bias))
+        p, a = self.params, dim + hidden
+        self.w0 = p.add("mlp.w0", rng.standard_normal((a, hidden)) / np.sqrt(a))
+        self.b0 = p.add("mlp.b0", np.zeros(hidden))
+        self.w1 = p.add("mlp.w1", rng.standard_normal((hidden, hidden)) / np.sqrt(hidden))
+        self.b1 = p.add("mlp.b1", np.zeros(hidden))
         # zero-init output so the field starts at zero
-        self.w_out = self.params.add("mlp.w_out", np.zeros((hidden, dim)))
-        self.b_out = self.params.add("mlp.b_out", np.zeros(dim))
+        self.w_out = p.add("mlp.w_out", np.zeros((hidden, dim)))
+        self.b_out = p.add("mlp.b_out", np.zeros(dim))
 
     def __call__(self, xt, t, cond=None):
         """`cond` completes the estimator contract and is ignored."""
@@ -198,9 +197,7 @@ class MLPEstimator:
         x = tt.reshape(xt, (1, self.dim)) if squeeze else xt
         n = x.shape[0]
         temb = self.time(np.full(n, float(t)) if np.isscalar(t) else t)
-        h = tt.concat([x, temb], axis=1)
-        for w, b in self._layers:
-            h = tt.silu(tt.add(tt.matmul(h, w), b))
+        h = tt.silu(tt.ffn(tt.concat([x, temb], axis=1), self.w0, self.b0, self.w1, self.b1))
         out = tt.add(tt.matmul(h, self.w_out), self.b_out)
         return tt.reshape(out, (self.dim,)) if squeeze else out
 
@@ -209,9 +206,9 @@ class WaveNetEstimator:
     """Non-causal dilated-convolution field estimator over [..., channels,
     frames].
 
-    Gated residual blocks (tanh * sigmoid) with skip connections; the time
-    embedding is projected into the condition stream; the output projection
-    is zero-initialized so the field starts at zero.
+    Gated residual blocks (tanh * sigmoid) with skip connections, the last
+    skip-only; the time embedding is projected into the condition stream;
+    the output projection is zero-initialized so the field starts at zero.
     """
 
     def __init__(self, x_channels, cond_channels, rng, residual_channels=32, layers=4):
@@ -233,9 +230,13 @@ class WaveNetEstimator:
                 "conv_b": p.add(f"wavenet.l{i}.conv_b", np.zeros(2 * r)),
                 "cond": p.add(f"wavenet.l{i}.cond",
                               rng.standard_normal((2 * r, cond_channels)) / np.sqrt(cond_channels)),
-                "res": p.add(f"wavenet.l{i}.res", rng.standard_normal((r, r)) / np.sqrt(r)),
-                "skip": p.add(f"wavenet.l{i}.skip", rng.standard_normal((r, r)) / np.sqrt(r)),
             }
+            # the last layer's residual would never be read, so it is dropped,
+            # but still drawn: every later draw and parameter stays as it was
+            res = rng.standard_normal((r, r)) / np.sqrt(r)
+            if i < layers - 1:
+                blk["res"] = p.add(f"wavenet.l{i}.res", res)
+            blk["skip"] = p.add(f"wavenet.l{i}.skip", rng.standard_normal((r, r)) / np.sqrt(r))
             self._blocks.append(blk)
         self.w_mid = p.add("wavenet.w_mid", rng.standard_normal((r, r)) / np.sqrt(r))
         self.w_out = p.add("wavenet.w_out", np.zeros((x_channels, r)))
@@ -270,7 +271,8 @@ class WaveNetEstimator:
             z = tt.conv1d(h, blk["conv"], dilation=dil, bias=blk["conv_b"])
             z = tt.add(z, tt.matmul(blk["cond"], c))
             gate = tt.mul(tt.tanh(z[..., :r, :]), tt.sigmoid(z[..., r:, :]))
-            h = tt.add(h, tt.matmul(blk["res"], gate))
+            if "res" in blk:
+                h = tt.add(h, tt.matmul(blk["res"], gate))
             s = tt.matmul(blk["skip"], gate)
             skip_sum = s if skip_sum is None else tt.add(skip_sum, s)
         out = tt.silu(tt.matmul(self.w_mid, tt.silu(skip_sum)))

@@ -79,6 +79,9 @@ class AccompFlowModel:
         x = xt if isinstance(xt, Tensor) else Tensor(xt)
         if x.shape != v.shape:
             raise DimensionError(f"input {x.shape} and vocal track {v.shape} misaligned")
+        if np.ndim(t):
+            raise DimensionError(f"accomp takes one float time per call, got times of "
+                                 f"shape {np.shape(t)}")
         temb = self.time(float(t))                       # [1, width]
         if x.ndim == 2:
             return self._forward(x, temb, v, tag)

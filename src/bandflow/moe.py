@@ -51,7 +51,8 @@ def gumbel_gate(logits, tau, rng=None, mode="dense"):
     """Per-row gate weights over experts from routing logits [..., N].
 
     Dense mode: softmax((logits + gumbel_noise) / tau), differentiable; the
-    noise is drawn from `rng`, or zero when `rng` is None.
+    noise is drawn from `rng`, and with no `rng` the gate is
+    softmax(logits / tau).
     Hard mode: noise-free one-hot argmax of the logits.
     """
     if tau <= 0:
@@ -61,12 +62,10 @@ def gumbel_gate(logits, tau, rng=None, mode="dense"):
         return Tensor(np.eye(data.shape[-1])[data.argmax(axis=-1)])
     if mode != "dense":
         raise ConfigError(f"unknown router mode {mode!r}")
-    if rng is None:
-        noise = np.zeros(logits.shape)
-    else:
+    if rng is not None:
         u = rng.uniform(low=np.finfo(float).tiny, high=1.0, size=logits.shape)
-        noise = -np.log(-np.log(u))
-    return tt.softmax(tt.mul(tt.add(logits, noise), 1.0 / tau), axis=-1)
+        logits = tt.add(logits, -np.log(-np.log(u)))
+    return tt.softmax(tt.mul(logits, 1.0 / tau), axis=-1)
 
 
 def gate_entropy(gates):
@@ -84,6 +83,8 @@ def balance_loss(gates, alpha=BALANCE_ALPHA, form="switch"):
     sum_i mean_n g_i, which is identically alpha * N for normalized gates
     and therefore carries no gradient signal; kept for comparison.
     """
+    if gates.ndim != 2:
+        raise DimensionError(f"balance loss needs gates [rows, N], got {gates.shape}")
     n, num = gates.shape
     mean_gate = tt.mean(gates, axis=0)          # [N]
     if form == "literal":
@@ -173,16 +174,13 @@ class BandMoE:
         logits = tt.matmul(time_row(time_vec), self.w_global)
         gates = gumbel_gate(logits, state.tau, state.rng, mode="dense")
         self.last_gates["global"] = gates
-        alpha = gates[0:1, 0:1]
-        beta = gates[0:1, 1:2]
-        return tt.add(tt.mul(o_aligned, alpha), tt.mul(o_controlled, beta))
+        return tt.gated_sum([o_aligned, o_controlled], gates, _token_column)
 
     def route_acoustic(self, o_combined, state: RouterState):
         m = tt.mean(o_combined, axis=-2, keepdims=True)                     # [..., 1, d]
         sq = tt.mean(tt.mul(o_combined, o_combined), axis=-2, keepdims=True)
         var = tt.sub(sq, tt.mul(m, m))
-        stats = tt.concat([tt.swapaxes(m, -1, -2), tt.swapaxes(var, -1, -2)],
-                          axis=-1)                                          # [..., d, 2]
+        stats = tt.swapaxes(tt.concat([m, var], axis=-2), -1, -2)          # [..., d, 2]
         logits = tt.matmul(stats, self.w_acoustic)
         gates = gumbel_gate(logits, state.tau, state.rng, state.mode)
         self.last_gates["acoustic"] = gates

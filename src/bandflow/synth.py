@@ -15,6 +15,7 @@ from .melody import NoteSequence
 
 FLOW2D_CENTERS = np.array([[-2.0, 0.0], [2.0, 0.0]])
 FLOW2D_SIGMA = 0.3
+FLOW2D_MIN_POINTS = 100      # fewest points gen_flow2d draws
 
 MAJOR_SCALE = np.array([0, 2, 4, 5, 7, 9, 11])
 GRAMMAR_TEMPI = (90.0, 120.0)
@@ -27,8 +28,8 @@ STYLE_TOY_CHANNELS = 8       # channels of a style-toy target field
 
 def gen_flow2d(seed, n):
     """Mixture of two Gaussians at (+-2, 0), sigma 0.3, equal weights."""
-    if n < 100:
-        raise ConfigError(f"need at least 100 points, got {n}")
+    if n < FLOW2D_MIN_POINTS:
+        raise ConfigError(f"need at least {FLOW2D_MIN_POINTS} points, got {n}")
     rng = np.random.default_rng(seed)
     comp = rng.integers(2, size=n)
     return FLOW2D_CENTERS[comp] + FLOW2D_SIGMA * rng.standard_normal((n, 2))

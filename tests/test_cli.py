@@ -10,9 +10,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import bandflow.cli as cli_module
 from bandflow.checkpoint import save_checkpoint
 from bandflow.cli import Options, _read_config, build_parser, cli_dispatch
-from bandflow.errors import BandflowError, ConfigError
+from bandflow.errors import BandflowError, ConfigError, DataError
 from bandflow.flow import MLPEstimator
 from bandflow.melody import NoteSequence, load_notes, save_notes
 from bandflow.metrics import REPORT_COLUMNS, expand_sixteenths
@@ -167,9 +168,41 @@ class TestRanges:
         out = tmp_path / "d"
         code, stdout, err = run(["gen-data", "--task", task, "--n", n, "--out", str(out)],
                                 capsys)
+        minimum = 100 if task == "flow2d" else 1
         assert code == 1
         assert stdout == ""
-        assert err == f"usage error: --n must be >= 1, got {n}\n"
+        assert err == f"usage error: --n must be >= {minimum}, got {n}\n"
+        assert not out.exists()
+
+    def test_gen_data_flow2d_below_its_minimum_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "new"
+        code, stdout, err = run(["gen-data", "--task", "flow2d", "--n", "50", "--out", str(out)],
+                                capsys)
+        assert code == 1
+        assert stdout == ""
+        assert err == "usage error: --n must be >= 100, got 50\n"
+        assert not out.exists()
+
+    def test_gen_data_flow2d_minimum_in_config_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("n=50\n")
+        out = tmp_path / "new"
+        code, stdout, err = run(["gen-data", "--task", "flow2d", "--config", str(cfg),
+                                 "--out", str(out)], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert err == "error: bad value 50 for 'n' in config; must be >= 100\n"
+        assert not out.exists()
+
+    def test_gen_data_failed_draw_creates_no_directory(self, tmp_path, capsys, monkeypatch):
+        def failing(seed, n):
+            raise DataError("draw failed")
+
+        monkeypatch.setitem(cli_module.GENERATORS, "style-toy", failing)
+        out = tmp_path / "new"
+        code, stdout, err = run(["gen-data", "--task", "style-toy", "--out", str(out)], capsys)
+        assert code == 2
+        assert (stdout, err) == ("", "error: draw failed\n")
         assert not out.exists()
 
     def test_gen_data_count_in_config_exits_two(self, tmp_path, capsys):

@@ -123,6 +123,40 @@ class TestCfmLoss:
         assert batch_loss().item() < init
 
 
+def _mlp_layer_loop(est, xt, t, cond=None):
+    """The oracle: MLPEstimator's per-layer silu(add(matmul)) loop that
+    tt.ffn replaced."""
+    squeeze = xt.ndim == 1
+    x = tt.reshape(xt, (1, est.dim)) if squeeze else xt
+    temb = est.time(np.full(x.shape[0], float(t)) if np.isscalar(t) else t)
+    h = tt.concat([x, temb], axis=1)
+    for w, b in ((est.w0, est.b0), (est.w1, est.b1)):
+        h = tt.silu(tt.add(tt.matmul(h, w), b))
+    out = tt.add(tt.matmul(h, est.w_out), est.b_out)
+    return tt.reshape(out, (est.dim,)) if squeeze else out
+
+
+@pytest.mark.parametrize("shape,t", [((9, 2), 0.3), ((9, 2), "rows"), ((2,), 0.7)])
+def test_mlp_estimator_matches_its_layer_loop_bitwise(shape, t):
+    """Output and every gradient, with all parameters drawn at random (the
+    zero-initialized output layer would zero the hidden gradients)."""
+    results = []
+    for forward in (MLPEstimator.__call__, _mlp_layer_loop):
+        rng = np.random.default_rng(4)
+        est = MLPEstimator(2, 8, rng)
+        for _, p in est.params.items():
+            p.data[...] = rng.standard_normal(p.shape)
+        x = Tensor(rng.standard_normal(shape), requires_grad=True)
+        times = rng.uniform(size=shape[0]) if t == "rows" else t
+        w = rng.standard_normal(shape)
+        with Tape():
+            out = forward(est, x, times)
+            backward(tt.sum_(tt.mul(out, w)))
+        arrays = [out.data, x.grad] + [p.grad for _, p in est.params.items()]
+        results.append([(a.shape, a.tobytes()) for a in arrays])
+    assert results[0] == results[1]
+
+
 class TestEuler:
     def test_constant_field_exact(self):
         x0 = np.array([1.0, -1.0])

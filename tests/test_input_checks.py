@@ -37,6 +37,23 @@ def _accomp_misaligned():
     model(np.zeros((6, 4)), 0.5, (np.zeros((5, 4)), 0))
 
 
+def _accomp_and_clips():
+    """A small accomp model and a two-clip batch: x [2, 6, 4], (vocals, tags)."""
+    model = AccompFlowModel(_rng(), 2, data_dim=4, width=8, heads=2, blocks=1, experts=2)
+    return model, np.zeros((2, 6, 4)), (np.zeros((2, 6, 4)), np.array([0, 1]))
+
+
+def _accomp_per_row_times():
+    model, x, cond = _accomp_and_clips()
+    cfm_loss(model, FlowSample(x0=x, x1=x + 1.0, t=np.full((2, 1, 1), 0.5)), cond)
+
+
+def _balance_after_batched_forward():
+    model, x, cond = _accomp_and_clips()
+    model(x, 0.5, cond)
+    model.balance()
+
+
 def _merge_duplicate():
     a, b = ParameterStore(), ParameterStore()
     a.add("w", np.zeros(1))
@@ -72,6 +89,10 @@ CASES = {
         lambda: GatedAttention(6, 2, _rng(), ParameterStore(), "g"),
         ConfigError, "head width must be even"),
     "accomp_input_vocal_misaligned": (_accomp_misaligned, DimensionError, "misaligned"),
+    "accomp_per_row_times": (_accomp_per_row_times, DimensionError,
+                             r"one float time per call, got times of shape \(2,\)"),
+    "balance_loss_batched_gates": (_balance_after_batched_forward, DimensionError,
+                                   r"gates \[rows, N\], got \(2, 8, 2\)"),
     "router_state_mode": (lambda: RouterState(mode="x"), ConfigError, "unknown router mode"),
     "expert_group_no_experts": (lambda: ExpertGroup(4, 0, _rng(), ParameterStore(), "e"),
                                 ConfigError, "at least one expert"),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import bandflow.tensor as tt
+from bandflow.blocks import time_row
 from bandflow.errors import ConfigError
 from bandflow.moe import (
     BALANCE_ALPHA,
@@ -292,3 +293,60 @@ class TestHardRoutingPicksOneExpert:
             lead, c = idx[:-1], idx[-1]
             expect = expert_out[picks[idx]][lead + (slice(None), c)]
             np.testing.assert_array_equal(out[lead + (slice(None), c)], expect)
+
+
+def _bytes(arrays):
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+def _global_mix_chain(moe, o_a, o_c, time_vec, state):
+    """The oracle: global_mix's hand-built mix that gated_sum replaced."""
+    logits = tt.matmul(time_row(time_vec), moe.w_global)
+    gates = gumbel_gate(logits, state.tau, state.rng, mode="dense")
+    moe.last_gates["global"] = gates
+    return tt.add(tt.mul(o_a, gates[0:1, 0:1]), tt.mul(o_c, gates[0:1, 1:2]))
+
+
+def _zero_noise_gate(logits, tau):
+    """The oracle: gumbel_gate's dense path with an all-zero noise array."""
+    return tt.softmax(tt.mul(tt.add(logits, np.zeros(logits.shape)), 1.0 / tau), axis=-1)
+
+
+class TestFusedPathsMatchTheirChains:
+    """The fused global mix and the noise-free dense gate give bitwise the
+    outputs and gradients of the op chains they replace."""
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    @pytest.mark.parametrize("noise", [False, True])
+    def test_global_mix(self, lead, noise):
+        results = []
+        for mix in (BandMoE.global_mix, _global_mix_chain):
+            moe, _, rng = _moe(d=4, n=2, seed=11)
+            o_a = Tensor(rng.standard_normal(lead + (5, 4)), requires_grad=True)
+            o_c = Tensor(rng.standard_normal(lead + (5, 4)), requires_grad=True)
+            t = Tensor(rng.standard_normal(4), requires_grad=True)
+            w = rng.standard_normal(lead + (5, 4))
+            state = RouterState(tau=0.7, rng=np.random.default_rng(2) if noise else None)
+            with Tape():
+                out = mix(moe, o_a, o_c, t, state)
+                backward(tt.sum_(tt.mul(out, w)))
+            gates = moe.last_gates["global"]
+            results.append(_bytes([out.data, o_a.grad, o_c.grad, gates.data, gates.grad,
+                                   moe.w_global.grad, t.grad]))
+        assert results[0] == results[1]
+
+    def test_noise_free_gate(self):
+        rng = np.random.default_rng(5)
+        logits = rng.standard_normal((6, 4))
+        logits[0, 1] = logits[2, 3] = -0.0
+        logits[1, 2] = 0.0
+        logits[4] = -0.0
+        w = rng.standard_normal((6, 4))
+        results = []
+        for gate in (lambda x: gumbel_gate(x, 0.7, rng=None), lambda x: _zero_noise_gate(x, 0.7)):
+            x = Tensor(logits.copy(), requires_grad=True)
+            with Tape():
+                out = gate(x)
+                backward(tt.sum_(tt.mul(out, w)))
+            results.append(_bytes([out.data, x.grad]))
+        assert results[0] == results[1]

@@ -216,11 +216,8 @@ class TestAccompGradientSum:
         assert max(np.abs(g).max() for g in stepped.values()) > 0
 
 
-def test_accomp_op_counts_stay_at_most_the_fused_counts(monkeypatch):
-    """Tensor ops, counted at tensor._make, of one 4-sample dense accomp
-    training step and of a guided eval_accomp (gamma 3, 16 held-out clips,
-    25 Euler steps).  The bounds are the counts with fused ffn and
-    gated_sum; an op chain that comes back in their place raises them."""
+def _op_counter(monkeypatch):
+    """A one-element list that counts the tensor ops made, at tensor._make."""
     made = [0]
     make = tt._make
 
@@ -229,12 +226,30 @@ def test_accomp_op_counts_stay_at_most_the_fused_counts(monkeypatch):
         return make(out, pairs)
 
     monkeypatch.setattr(tt, "_make", counting)
+    return made
+
+
+def test_accomp_op_counts_stay_at_most_the_fused_counts(monkeypatch):
+    """Tensor ops, counted at tensor._make, of one 4-sample dense accomp
+    training step and of a guided eval_accomp (gamma 3, 16 held-out clips,
+    25 Euler steps).  The bounds are the counts with every expert stage and
+    the global mix fused (ffn and gated_sum); an op chain that comes back in
+    their place raises them."""
+    made = _op_counter(monkeypatch)
     model, _, _, (_, held) = train_accomp(seed=0, steps=1)
-    assert made[0] <= 856
+    assert made[0] <= 812
     made[0] = 0
     assert len(held) == 16
     eval_accomp(model, held, n_tags=model.n_tags, seed=0, gamma=3.0, infer_steps=25)
-    assert made[0] <= 17050
+    assert made[0] <= 15850
+
+
+def test_flow2d_op_count_stays_at_most_the_ffn_count(monkeypatch):
+    """Tensor ops of one flow2d training step; the bound is the count with
+    the MLP's hidden layers as one ffn (the per-layer chain took 14)."""
+    made = _op_counter(monkeypatch)
+    train_flow2d(seed=0, steps=1)
+    assert made[0] <= 10
 
 
 class _Recorder:
@@ -293,20 +308,43 @@ def _per_song_loss(model, songs):
     return tt.mul(total, 1.0 / len(songs))
 
 
+def _randomized(model_class, scale=0.3):
+    """model_class with every parameter redrawn at random after init."""
+    class Randomized(model_class):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            rng = np.random.default_rng(7)
+            for _, p in self.params.items():
+                p.data[...] = rng.standard_normal(p.shape) * scale
+
+    return Randomized
+
+
+@pytest.mark.parametrize("model,scale,run", [
+    ("MLPEstimator", 0.3, lambda: train_flow2d(seed=2, steps=1)),
+    ("StylePredictorModel", 0.3, lambda: train_style_predictor(seed=2, steps=1)),
+    # 0.3 overflows the wider accomp model's activations
+    ("AccompFlowModel", 0.1, lambda: train_accomp(seed=2, steps=1)),
+    ("MelodyModel", 0.3, lambda: train_melody(seed=2, steps=1)),
+])
+def test_every_parameter_gets_a_gradient(monkeypatch, model, scale, run):
+    """One training step of each model, with every parameter drawn at
+    random: a parameter whose gradient is exactly zero does not reach the
+    loss, so it is dead weight."""
+    monkeypatch.setattr(train_module, model,
+                        _randomized(getattr(train_module, model), scale))
+    _, grads = _one_step(monkeypatch, run)
+    assert [name for name, g in grads.items() if not g.any()] == []
+
+
 class TestBatchedStepsMatchPerSampleLoops:
     """One batched forward per style and melody step: its gradient and logged
     loss equal those of the per-sample loop it replaced, to 1e-12."""
 
     def test_style_step(self, monkeypatch):
-        class RandomizedModel(StylePredictorModel):
-            # the zero-initialized WaveNet output would zero most gradients
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                rng = np.random.default_rng(7)
-                for _, p in self.params.items():
-                    p.data[...] = rng.standard_normal(p.shape) * 0.3
-
-        monkeypatch.setattr(train_module, "StylePredictorModel", RandomizedModel)
+        # the zero-initialized WaveNet output would zero most gradients
+        monkeypatch.setattr(train_module, "StylePredictorModel",
+                            _randomized(StylePredictorModel))
 
         def run():
             return train_style_predictor(seed=2, steps=1)
@@ -344,18 +382,11 @@ class TestBatchedStepsMatchPerSampleLoops:
 def test_style_and_melody_op_counts_stay_at_most_the_batched_counts(monkeypatch):
     """Tensor ops, counted at tensor._make, of one style and one melody
     training step.  The bounds are the counts of one batched forward per
-    step (the per-sample loops took 248 and 344); a loop that comes back
-    raises them."""
-    made = [0]
-    make = tt._make
-
-    def counting(out, pairs):
-        made[0] += 1
-        return make(out, pairs)
-
-    monkeypatch.setattr(tt, "_make", counting)
+    step (the per-sample loops took 248 and 344), with no residual product
+    in the WaveNet's last layer; a loop that comes back raises them."""
+    made = _op_counter(monkeypatch)
     train_style_predictor(seed=0, steps=1)
-    assert made[0] <= 61
+    assert made[0] <= 59
     made[0] = 0
     train_melody(seed=0, steps=1)
     assert made[0] <= 44
