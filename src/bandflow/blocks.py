@@ -87,17 +87,13 @@ def positional_encoding(T, d):
 def global_style(z_p, z_v, time_vec):
     """Token-axis mean of prompt tokens and vocal embedding plus time features.
 
-    z_p: [..., P, d], z_v: [..., T, d].  Returns a [..., 1, d] tensor used to
-    drive the adaptive-layernorm modulation.
+    z_p: [..., P, d], z_v: [..., T, d], time_vec: a [1, d] row (or one per
+    sample, [..., 1, d]).  Returns a [..., 1, d] tensor used to drive the
+    adaptive-layernorm modulation.
     """
     zp_mean = tt.mean(z_p, axis=-2, keepdims=True)
     zv_mean = tt.mean(z_v, axis=-2, keepdims=True)
-    return tt.add(tt.add(zp_mean, zv_mean), time_row(time_vec))
-
-
-def time_row(time_vec):
-    """A [d] time vector as a [1, d] row; a 2-D one passes through."""
-    return time_vec if time_vec.ndim == 2 else tt.reshape(time_vec, (1, time_vec.shape[0]))
+    return tt.add(tt.add(zp_mean, zv_mean), time_vec)
 
 
 class GatedAttention:

@@ -27,15 +27,12 @@ class FlowConfig:
     train_timesteps: int = 100
     infer_steps: int = 25
     cfg_scale: float = 3.0
-    cond_drop_prob: float = 0.2
 
     def __post_init__(self):
         if self.train_timesteps < 1:
             raise ConfigError("train_timesteps must be >= 1")
         if self.infer_steps < 1:
             raise ConfigError("infer_steps must be >= 1")
-        if not 0.0 <= self.cond_drop_prob <= 1.0:
-            raise ConfigError("cond_drop_prob must lie in [0, 1]")
         if not (np.isfinite(self.cfg_scale) and self.cfg_scale >= 0.0):
             raise ConfigError(f"cfg_scale must be finite and >= 0, got {self.cfg_scale}")
 
@@ -58,13 +55,12 @@ class FlowSample:
         self.u = self.x1 - self.x0
 
 
-def make_flow_sample(x1, rng, cfg: FlowConfig, t=None) -> FlowSample:
+def make_flow_sample(x1, rng, cfg: FlowConfig) -> FlowSample:
     """Draw one training point on the straight noise-to-data path."""
     x1 = np.asarray(x1, dtype=np.float64)
     x0 = rng.standard_normal(x1.shape)
-    if t is None:
-        t = float(rng.integers(cfg.train_timesteps)) / cfg.train_timesteps
-    return FlowSample(x0=x0, x1=x1, t=float(t))
+    t = float(rng.integers(cfg.train_timesteps)) / cfg.train_timesteps
+    return FlowSample(x0=x0, x1=x1, t=t)
 
 
 def cfg_field(v_cond, v_uncond, gamma):

@@ -50,7 +50,10 @@ class NoteSequence:
     def total_seconds(self):
         if self.tempo is None:
             raise DataError("tempo required to convert beats to seconds")
-        return sum(self.durations) * 60.0 / self.tempo
+        seconds = sum(self.durations) * 60.0 / self.tempo
+        if not math.isfinite(seconds):
+            raise DataError(f"song length overflows at tempo {self.tempo}")
+        return seconds
 
 
 def save_notes(notes: NoteSequence, path):
@@ -141,17 +144,6 @@ def melody_loss(logits, durations, target):
     return tt.add(pitch_term, tt.sum_(tt.mul(diff, diff)))
 
 
-@dataclass
-class MelodyBatch:
-    phonemes: np.ndarray           # [N] int ids
-    tag: int                       # style-tag id
-    target: NoteSequence
-
-    def __post_init__(self):
-        if len(self.phonemes) != len(self.target):
-            raise DimensionError("one note per phoneme required")
-
-
 class MelodyModel:
     """Small transformer with cross-attention into style-tag tokens."""
 
@@ -217,8 +209,8 @@ class MelodyModel:
         dur = tt.softplus(tt.add(tt.matmul(h, self.w_dur), self.b_dur))
         return logits, tt.reshape(dur, ids.shape)
 
-    def predict(self, batch: MelodyBatch, tempo=None) -> NoteSequence:
-        logits, dur = self.forward(batch.phonemes, batch.tag)
+    def predict(self, phonemes, tag, tempo) -> NoteSequence:
+        """The argmax-pitch, predicted-duration NoteSequence of one song."""
+        logits, dur = self.forward(phonemes, tag)
         pitches = logits.data.argmax(axis=1).tolist()
-        return NoteSequence(pitches=pitches, durations=dur.data.tolist(),
-                            tempo=tempo if tempo is not None else batch.target.tempo)
+        return NoteSequence(pitches=pitches, durations=dur.data.tolist(), tempo=tempo)

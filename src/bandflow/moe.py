@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tt
-from .blocks import FeedForward, sdp_attention, time_row
+from .blocks import FeedForward, sdp_attention
 from .errors import ConfigError, DimensionError
 from .tensor import ParameterStore, Tensor
 
@@ -106,42 +106,27 @@ def _channel_column(j):
     return (Ellipsis, None, slice(None), j)
 
 
-class ExpertGroup:
-    """Shared-width position-wise feed-forward experts (hidden width 2d)."""
-
-    def __init__(self, d, n_experts, rng, params: ParameterStore, prefix):
-        if n_experts < 1:
-            raise ConfigError("need at least one expert")
-        self.d = d
-        self.experts = [
-            FeedForward(d, 2 * d, rng, params, f"{prefix}.expert{i}")
-            for i in range(n_experts)
-        ]
-
-    def mix_tokens(self, h, gates):
-        """Per-token mixture: output[t] = sum_i gates[t, i] * expert_i(h)[t]."""
-        return tt.gated_sum([ex(h) for ex in self.experts], gates, _token_column)
-
-    def mix_channels(self, h, gates):
-        """Per-channel mixture: output[..., c] = sum_j gates[..., c, j] * expert_j(h)[..., c].
-
-        h: [..., T, d]; gates: [..., d, N], one gate table per sample.
-        """
-        return tt.gated_sum([ex(h) for ex in self.experts], gates, _channel_column)
+def _experts(d, n_experts, rng, params: ParameterStore, prefix):
+    """One group's position-wise feed-forward experts (hidden width 2d)."""
+    if n_experts < 1:
+        raise ConfigError("need at least one expert")
+    return [FeedForward(d, 2 * d, rng, params, f"{prefix}.expert{i}")
+            for i in range(n_experts)]
 
 
 class BandMoE:
     """The full three-group expert layer plus global gate (one block's slot).
 
-    The time embedding that drives the global gate has the model width d.
+    Each group is a list of experts.  The time row that drives the global
+    gate is [1, d] (or [..., 1, d]), d the model width.
     """
 
     def __init__(self, d, n_experts, rng, params: ParameterStore, prefix):
         self.n = n_experts
         p = params
-        self.aligned = ExpertGroup(d, n_experts, rng, p, f"{prefix}.aligned")
-        self.controlled = ExpertGroup(d, n_experts, rng, p, f"{prefix}.controlled")
-        self.acoustic = ExpertGroup(d, n_experts, rng, p, f"{prefix}.acoustic")
+        self.aligned = _experts(d, n_experts, rng, p, f"{prefix}.aligned")
+        self.controlled = _experts(d, n_experts, rng, p, f"{prefix}.controlled")
+        self.acoustic = _experts(d, n_experts, rng, p, f"{prefix}.acoustic")
         s = 1.0 / np.sqrt(d)
         self.w_aligned = p.add(f"{prefix}.w_aligned", rng.standard_normal((d, n_experts)) * s)
         self.w_controlled = p.add(f"{prefix}.w_controlled", rng.standard_normal((d, n_experts)) * s)
@@ -163,20 +148,26 @@ class BandMoE:
         return self._route_tokens("controlled", self.w_controlled, z_sty, h, state)
 
     def _route_tokens(self, group, w_router, z, h, state):
-        """Route each token of h to the experts of `group` by its row of z."""
+        """Route each token of h to the experts of `group` by its row of z:
+        output[t] = sum_i gates[t, i] * expert_i(h)[t]."""
         logits = tt.matmul(_tokens(z), w_router)
         gates = gumbel_gate(logits, state.tau, state.rng, state.mode)
         self.last_gates[group] = gates
-        return _untokens(getattr(self, group).mix_tokens(_tokens(h), gates), h.shape)
+        tokens = _tokens(h)
+        out = tt.gated_sum([ex(tokens) for ex in getattr(self, group)], gates, _token_column)
+        return _untokens(out, h.shape)
 
     def global_mix(self, o_aligned, o_controlled, time_vec, state: RouterState):
-        """Blend the two token-routed outputs; the global gate stays dense."""
-        logits = tt.matmul(time_row(time_vec), self.w_global)
+        """Blend the two token-routed outputs by the [1, d] time row; the
+        global gate stays dense."""
+        logits = tt.matmul(time_vec, self.w_global)
         gates = gumbel_gate(logits, state.tau, state.rng, mode="dense")
         self.last_gates["global"] = gates
         return tt.gated_sum([o_aligned, o_controlled], gates, _token_column)
 
     def route_acoustic(self, o_combined, state: RouterState):
+        """Route each channel of each sample by its (mean, var) over time:
+        output[..., c] = sum_j gates[..., c, j] * expert_j(o)[..., c]."""
         m = tt.mean(o_combined, axis=-2, keepdims=True)                     # [..., 1, d]
         sq = tt.mean(tt.mul(o_combined, o_combined), axis=-2, keepdims=True)
         var = tt.sub(sq, tt.mul(m, m))
@@ -184,7 +175,7 @@ class BandMoE:
         logits = tt.matmul(stats, self.w_acoustic)
         gates = gumbel_gate(logits, state.tau, state.rng, state.mode)
         self.last_gates["acoustic"] = gates
-        return self.acoustic.mix_channels(o_combined, gates)
+        return tt.gated_sum([ex(o_combined) for ex in self.acoustic], gates, _channel_column)
 
     # -- full layer ---------------------------------------------------------
 
@@ -194,11 +185,11 @@ class BandMoE:
         o = self.global_mix(o_a, o_c, time_vec, state)
         return self.route_acoustic(o, state)
 
-    def balance(self, alpha=BALANCE_ALPHA):
+    def balance(self):
         """Sum of balance losses over the three hard-routable groups."""
         total = None
         for name in ("aligned", "controlled", "acoustic"):
-            term = balance_loss(self.last_gates[name], alpha)
+            term = balance_loss(self.last_gates[name])
             total = term if total is None else tt.add(total, term)
         return total
 
@@ -227,9 +218,8 @@ class PlainBandFFN:
 
     def __call__(self, h, z_v, z_p, time_vec, state):
         m = self.moe
-        o_a = m.aligned.experts[0](h)
-        o_c = m.controlled.experts[0](h)
-        t = time_row(time_vec)
-        gates = gumbel_gate(tt.matmul(t, m.w_global), state.tau, state.rng, mode="dense")
+        o_a = m.aligned[0](h)
+        o_c = m.controlled[0](h)
+        gates = gumbel_gate(tt.matmul(time_vec, m.w_global), state.tau, state.rng, mode="dense")
         o = tt.add(tt.mul(o_a, gates[0:1, 0:1]), tt.mul(o_c, gates[0:1, 1:2]))
-        return m.acoustic.experts[0](o)
+        return m.acoustic[0](o)

@@ -13,7 +13,7 @@ ADAM_EPS = 1e-8
 class Adam:
     """Adam with bias correction; state keyed by parameter name."""
 
-    def __init__(self, store: ParameterStore, lr=1e-3):
+    def __init__(self, store: ParameterStore, lr):
         self.store = store
         self.lr = lr
         self.beta1, self.beta2 = ADAM_BETAS

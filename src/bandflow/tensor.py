@@ -264,15 +264,26 @@ def tanh(a):
     return _make(out, [(a, lambda g: g * (1.0 - out * out))])
 
 
+def _sigmoid(x):
+    """1 / (1 + exp(-x)) as a new array: negate, exp, +1 and reciprocal, in
+    place.  Below about -709 exp(-x) overflows to inf and the result is the
+    exact 0, so that overflow is not warned about."""
+    s = np.negative(x)
+    with np.errstate(over="ignore"):
+        np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
+
+
 def sigmoid(a):
     a = _as_tensor(a)
-    out = 1.0 / (1.0 + np.exp(-a.data))
+    out = _sigmoid(a.data)
     return _make(out, [(a, lambda g: g * out * (1.0 - out))])
 
 
 def silu(a):
     a = _as_tensor(a)
-    s = 1.0 / (1.0 + np.exp(-a.data))
+    s = _sigmoid(a.data)
     out = a.data * s
     return _make(out, [(a, lambda g: g * (s + a.data * s * (1.0 - s)))])
 
@@ -280,7 +291,7 @@ def silu(a):
 def softplus(a):
     a = _as_tensor(a)
     out = np.logaddexp(0.0, a.data)
-    s = 1.0 / (1.0 + np.exp(-a.data))
+    s = _sigmoid(a.data)
     return _make(out, [(a, lambda g: g * s)])
 
 
@@ -339,8 +350,8 @@ def ffn(h, w1, b1, w2, b2):
     add, silu, matmul and add it replaces.
 
     h: [..., rows, d], w1: [d, hidden], b1: [hidden], w2: [hidden, n],
-    b2: [n].  The bias adds and the sigmoid run in place, in silu's numpy
-    order; the sigmoid and the activation are the arrays kept for the
+    b2: [n].  The bias adds run in place and the sigmoid is silu's
+    (_sigmoid); the sigmoid and the activation are the arrays kept for the
     backward, whose closures share one d(pre-activation).
     """
     h, w1, b1, w2, b2 = (_as_tensor(x) for x in (h, w1, b1, w2, b2))
@@ -354,10 +365,7 @@ def ffn(h, w1, b1, w2, b2):
                              f"weights {w1.shape}, {w2.shape}")
     act = _fold(h.data, w1.data)
     act += b1.data
-    sig = np.negative(act)
-    np.exp(sig, out=sig)
-    sig += 1.0
-    np.divide(1.0, sig, out=sig)
+    sig = _sigmoid(act)
     act *= sig
     out = _fold(act, w2.data)
     out += b2.data

@@ -16,7 +16,7 @@ from . import tensor as tt
 from .errors import DimensionError, NumericError
 from .flow import (FlowConfig, FlowSample, MLPEstimator, cfm_loss, euler_sample,
                    make_flow_sample, stack_flow_samples)
-from .melody import MelodyBatch, MelodyModel, melody_loss, NoteSequence
+from .melody import MelodyModel, melody_loss, NoteSequence
 from .metrics import evaluate_pairs
 from .models import AccompFlowModel, StylePredictorModel
 from .moe import RouterState, TAU_LOW, gate_entropy, tau_schedule
@@ -38,6 +38,7 @@ STYLE_TEXT_DROP = 0.1        # chance a sample trains with the null tag
 
 ACCOMP_PAIRS = 96            # accomp-toy dataset size
 ACCOMP_TAGS = 3              # style tags of the accomp-toy pairs
+ACCOMP_COND_DROP = 0.2       # chance a sample trains with the null tag
 
 MELODY_SONGS = 120           # melody-grammar dataset size
 
@@ -104,11 +105,10 @@ def train_flow2d(seed, steps, batch=256, lr=2e-3):
     return est, losses, cfg
 
 
-def sample_flow2d(est, n, seed, flow_cfg=None, trace=None):
-    cfg = flow_cfg or FlowConfig(cfg_scale=1.0)
+def sample_flow2d(est, n, seed, trace=None):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, 2))
-    return euler_sample(est, x, None, cfg, trace=trace).data
+    return euler_sample(est, x, None, FlowConfig(cfg_scale=1.0), trace=trace).data
 
 
 def flow2d_mode_stats(samples):
@@ -176,7 +176,7 @@ def train_accomp(seed, steps, batch=4, n_pairs=ACCOMP_PAIRS, n_tags=ACCOMP_TAGS,
         model.state = RouterState(tau=tau, mode="dense", rng=rng)
         for _ in range(batch):
             pair = train_pairs[int(rng.integers(len(train_pairs)))]
-            tag = None if rng.uniform() < cfg.cond_drop_prob else pair.tag
+            tag = None if rng.uniform() < ACCOMP_COND_DROP else pair.tag
             sample = make_flow_sample(pair.a, rng, cfg)
             yield functools.partial(loss_with_balance, sample, (pair.v, tag))
 
@@ -274,8 +274,8 @@ def melody_pitch_accuracy(model, songs):
 
 def melody_report(model, songs):
     """Mean held-out metric row in the standard column order, plus per-song rows."""
-    pairs = ((model.predict(MelodyBatch(phonemes=s.phonemes, tag=s.tag, target=s.notes)),
-              s.notes, (s.tag, "major"), None) for s in songs)
+    pairs = ((model.predict(s.phonemes, s.tag, s.notes.tempo), s.notes, (s.tag, "major"), None)
+             for s in songs)
     rows = [rep.row() for rep in evaluate_pairs(pairs)]
     mean_row = np.asarray(rows).mean(axis=0).tolist()
     return mean_row, rows

@@ -64,9 +64,9 @@ def test_02_flow_correctness():
         max_err = max(max_err, float(np.abs(out.data - x1).max()))
     # (b) trained 2-D mixture model
     t0 = time.time()
-    est, _, cfg = train_flow2d(seed=0, steps=1500)
+    est, _, _ = train_flow2d(seed=0, steps=1500)
     elapsed = time.time() - t0
-    stats = flow2d_mode_stats(sample_flow2d(est, 2000, seed=1, flow_cfg=cfg))
+    stats = flow2d_mode_stats(sample_flow2d(est, 2000, seed=1))
     mean_err = max(float(np.abs(stats["mean_left"] - [-2.0, 0.0]).max()),
                    float(np.abs(stats["mean_right"] - [2.0, 0.0]).max()))
     weight_err = abs(stats["weight_left"] - 0.5)

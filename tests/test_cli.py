@@ -513,6 +513,30 @@ class TestEvalMelody:
             assert err.count("\n") == 1
             assert err.startswith(f"error: {argv[0]} vs {argv[1]}: ")
 
+    @pytest.mark.parametrize("slow", [("gen",), ("gen", "ref")])
+    def test_overflowing_song_length_exits_two(self, tmp_path, capsys, slow):
+        # a positive tempo so small that the song's length in seconds is inf
+        paths = {}
+        for side in ("gen", "ref"):
+            paths[side] = tmp_path / f"{side}.notes"
+            tempo = "1e-320" if side in slow else "120"
+            paths[side].write_text(f"tempo={tempo}\n60,1\n64,1\n67,2\n")
+        code, out, err = run(["eval-melody", str(paths["gen"]), str(paths["ref"])], capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"error: {paths['gen']} vs {paths['ref']}: "
+                       "song length overflows at tempo 1e-320\n")
+
+    def test_overflowing_song_length_in_directory_exits_two(self, tmp_path, capsys):
+        gen, ref = tmp_path / "gen", tmp_path / "ref"
+        self._write_songs(gen)
+        self._write_songs(ref, seed=1)
+        slow = gen / "song0001.notes"
+        slow.write_text(slow.read_text().replace("tempo=120", "tempo=1e-320"))
+        code, out, err = run(["eval-melody", str(gen), str(ref)], capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"error: {slow} vs {ref / 'song0001.notes'}: "
+                       "song length overflows at tempo 1e-320\n")
+
     def test_negative_pitch_exits_two(self, tmp_path, capsys):
         gen, ref = self._pair(tmp_path, "-1,1")
         code, out, err = run(["eval-melody", str(gen), str(ref)], capsys)

@@ -15,7 +15,7 @@ from bandflow.melody import (REST, MelodyModel, NoteSequence, length_regulate, l
                              log_duration_loss)
 from bandflow.metrics import apd_td
 from bandflow.models import AccompFlowModel
-from bandflow.moe import BandMoE, ExpertGroup, RouterState, gumbel_gate
+from bandflow.moe import BandMoE, RouterState, gumbel_gate
 from bandflow.tensor import ParameterStore, Tensor
 
 
@@ -94,7 +94,7 @@ CASES = {
     "balance_loss_batched_gates": (_balance_after_batched_forward, DimensionError,
                                    r"gates \[rows, N\], got \(2, 8, 2\)"),
     "router_state_mode": (lambda: RouterState(mode="x"), ConfigError, "unknown router mode"),
-    "expert_group_no_experts": (lambda: ExpertGroup(4, 0, _rng(), ParameterStore(), "e"),
+    "expert_group_no_experts": (lambda: BandMoE(4, 0, _rng(), ParameterStore(), "e"),
                                 ConfigError, "at least one expert"),
     "route_aligned_token_count": (_route_aligned_token_mismatch, DimensionError,
                                   "token counts differ"),

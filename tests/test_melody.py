@@ -9,7 +9,6 @@ import bandflow.tensor as tt
 from bandflow.errors import BandflowError, BoundsError, DataError, DimensionError
 from bandflow.melody import (
     REST,
-    MelodyBatch,
     MelodyModel,
     NoteSequence,
     length_regulate,
@@ -40,6 +39,10 @@ class TestNoteSequence:
         assert ns.total_seconds() == pytest.approx(2.0)
         with pytest.raises(DataError):
             NoteSequence(pitches=[60], durations=[1.0]).total_seconds()
+        for durations, tempo in (([4.0], 1e-320), ([1e308, 1e308], 120.0)):
+            ns = NoteSequence(pitches=[60] * len(durations), durations=durations, tempo=tempo)
+            with pytest.raises(DataError, match="song length overflows"):
+                ns.total_seconds()
 
     def test_file_round_trip(self, tmp_path):
         ns = NoteSequence(pitches=[60, REST, 71], durations=[1.0, 0.25, 0.5],
@@ -150,10 +153,7 @@ class TestMelodyModel:
 
     def test_output_shapes_and_positive_durations(self):
         model = self._model()
-        batch = MelodyBatch(phonemes=np.array([0, 3, 5]), tag=1,
-                            target=NoteSequence(pitches=[1, 2, 3],
-                                                durations=[1.0, 1.0, 1.0]))
-        logits, dur = model.forward(batch.phonemes, batch.tag)
+        logits, dur = model.forward(np.array([0, 3, 5]), 1)
         assert logits.shape == (3, 16)
         assert dur.shape == (3,)
         assert (dur.data > 0).all()
@@ -165,11 +165,6 @@ class TestMelodyModel:
         with pytest.raises(BoundsError):
             model.forward(np.array([0]), 3)
 
-    def test_batch_requires_note_per_phoneme(self):
-        with pytest.raises(DimensionError):
-            MelodyBatch(phonemes=np.array([0, 1]), tag=0,
-                        target=NoteSequence(pitches=[1], durations=[1.0]))
-
     def test_tag_changes_output(self):
         model = self._model(seed=1)
         ph = np.array([2, 4])
@@ -180,14 +175,14 @@ class TestMelodyModel:
     def test_overfits_tiny_song(self):
         model = self._model(seed=2)
         target = NoteSequence(pitches=[4, 7, 4, 9], durations=[1.0, 0.5, 1.0, 0.5])
-        batch = MelodyBatch(phonemes=np.array([0, 1, 2, 3]), tag=0, target=target)
+        phonemes = np.array([0, 1, 2, 3])
         opt = Adam(model.params, lr=5e-3)
         for _ in range(250):
             with Tape():
-                logits, dur = model.forward(batch.phonemes, batch.tag)
+                logits, dur = model.forward(phonemes, 0)
                 backward(melody_loss(logits, dur, target))
             opt.step()
             opt.zero_grad()
-        pred = model.predict(batch, tempo=120.0)
+        pred = model.predict(phonemes, 0, 120.0)
         assert pred.pitches == target.pitches
         np.testing.assert_allclose(pred.durations, target.durations, atol=0.05)

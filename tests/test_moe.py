@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 import bandflow.tensor as tt
-from bandflow.blocks import time_row
 from bandflow.errors import ConfigError
 from bandflow.moe import (
     BALANCE_ALPHA,
     TAU_HIGH,
     TAU_LOW,
     BandMoE,
-    ExpertGroup,
     PlainBandFFN,
     RouterState,
     balance_loss,
@@ -178,7 +176,7 @@ class TestRoutingStages:
         moe.w_global.data[...] = 0.0   # logits 0 -> alpha = beta = 0.5
         o_a = Tensor(np.full((3, 4), 2.0))
         o_c = Tensor(np.full((3, 4), 4.0))
-        t = Tensor(rng.standard_normal(4))
+        t = Tensor(rng.standard_normal((1, 4)))
         out = moe.global_mix(o_a, o_c, t, RouterState(tau=1.0, rng=None))
         np.testing.assert_allclose(out.data, 3.0, atol=1e-12)
         g = moe.last_gates["global"].data
@@ -187,7 +185,7 @@ class TestRoutingStages:
     def test_global_gate_dense_even_in_hard_mode(self):
         moe, _, rng = _moe(d=4, n=2, seed=4)
         o = Tensor(rng.standard_normal((3, 4)))
-        moe.global_mix(o, o, Tensor(rng.standard_normal(4)),
+        moe.global_mix(o, o, Tensor(rng.standard_normal((1, 4))),
                        RouterState(tau=TAU_LOW, mode="hard", rng=None))
         g = moe.last_gates["global"].data
         assert 0.0 < g.min() and g.max() < 1.0
@@ -200,7 +198,7 @@ class TestSingleExpertReduction:
         h = Tensor(rng.standard_normal((6, 4)))
         z_v = Tensor(rng.standard_normal((6, 4)))
         z_p = Tensor(rng.standard_normal((3, 4)))
-        t = Tensor(rng.standard_normal(4))
+        t = Tensor(rng.standard_normal((1, 4)))
         for mode in ("dense", "hard"):
             state = RouterState(tau=0.8, mode=mode, rng=None)
             a = moe(h, z_v=z_v, z_p=z_p, time_vec=t, state=state).data
@@ -228,8 +226,8 @@ class TestBalanceIntegration:
         moe(Tensor(rng.standard_normal((6, 4))),
             z_v=Tensor(rng.standard_normal((6, 4))),
             z_p=Tensor(rng.standard_normal((3, 4))),
-            time_vec=Tensor(rng.standard_normal(4)), state=state)
-        total = moe.balance(alpha=BALANCE_ALPHA).item()
+            time_vec=Tensor(rng.standard_normal((1, 4))), state=state)
+        total = moe.balance().item()
         parts = sum(
             balance_loss(moe.last_gates[g], BALANCE_ALPHA, "switch").item()
             for g in ("aligned", "controlled", "acoustic"))
@@ -242,20 +240,9 @@ class TestBalanceIntegration:
             moe(Tensor(rng.standard_normal((6, 4))),
                 z_v=Tensor(rng.standard_normal((6, 4))),
                 z_p=Tensor(rng.standard_normal((3, 4))),
-                time_vec=Tensor(rng.standard_normal(4)), state=state)
+                time_vec=Tensor(rng.standard_normal((1, 4))), state=state)
             backward(moe.balance())
         assert np.abs(moe.w_aligned.grad).max() > 0
-
-
-def test_expert_group_mix_tokens_one_hot_selects_expert():
-    params = ParameterStore()
-    rng = np.random.default_rng(0)
-    group = ExpertGroup(3, 2, rng, params, "g")
-    h = Tensor(rng.standard_normal((4, 3)))
-    gates = np.zeros((4, 2))
-    gates[:, 1] = 1.0
-    out = group.mix_tokens(h, Tensor(gates))
-    np.testing.assert_array_equal(out.data, group.experts[1](h).data)
 
 
 class TestHardRoutingPicksOneExpert:
@@ -277,7 +264,7 @@ class TestHardRoutingPicksOneExpert:
         assert len(set(picks)) > 1
         tokens = Tensor(h.data.reshape(-1, 4))
         for row, k in enumerate(picks):
-            expect = moe.controlled.experts[k](tokens).data[row]
+            expect = moe.controlled[k](tokens).data[row]
             np.testing.assert_array_equal(out[row], expect)
 
     @pytest.mark.parametrize("shape", [(6, 4), (2, 6, 4)])
@@ -288,7 +275,7 @@ class TestHardRoutingPicksOneExpert:
         out = moe.route_acoustic(h, self.HARD).data
         picks = moe.last_gates["acoustic"].data.argmax(axis=-1)      # [..., d]
         assert len(set(picks.ravel())) > 1
-        expert_out = [ex(h).data for ex in moe.acoustic.experts]
+        expert_out = [ex(h).data for ex in moe.acoustic]
         for idx in np.ndindex(picks.shape):
             lead, c = idx[:-1], idx[-1]
             expect = expert_out[picks[idx]][lead + (slice(None), c)]
@@ -301,7 +288,7 @@ def _bytes(arrays):
 
 def _global_mix_chain(moe, o_a, o_c, time_vec, state):
     """The oracle: global_mix's hand-built mix that gated_sum replaced."""
-    logits = tt.matmul(time_row(time_vec), moe.w_global)
+    logits = tt.matmul(time_vec, moe.w_global)
     gates = gumbel_gate(logits, state.tau, state.rng, mode="dense")
     moe.last_gates["global"] = gates
     return tt.add(tt.mul(o_a, gates[0:1, 0:1]), tt.mul(o_c, gates[0:1, 1:2]))
@@ -324,7 +311,7 @@ class TestFusedPathsMatchTheirChains:
             moe, _, rng = _moe(d=4, n=2, seed=11)
             o_a = Tensor(rng.standard_normal(lead + (5, 4)), requires_grad=True)
             o_c = Tensor(rng.standard_normal(lead + (5, 4)), requires_grad=True)
-            t = Tensor(rng.standard_normal(4), requires_grad=True)
+            t = Tensor(rng.standard_normal((1, 4)), requires_grad=True)
             w = rng.standard_normal(lead + (5, 4))
             state = RouterState(tau=0.7, rng=np.random.default_rng(2) if noise else None)
             with Tape():

@@ -258,7 +258,7 @@ class TestOptim:
         assert abs(w.data[0] - 3.0) < 0.1
 
     def test_adam_default_betas(self):
-        opt = Adam(ParameterStore())
+        opt = Adam(ParameterStore(), lr=1e-3)
         assert (opt.beta1, opt.beta2) == (0.9, 0.98)
 
 
@@ -393,6 +393,29 @@ class TestFusedOpsMatchTheirChains:
         _assert_bitwise(_output_and_grads(fused, arrays, w),
                         _output_and_grads(group(_ffn_chain, _gated_chain(_token_column)),
                                           arrays, w))
+
+
+_LOGISTIC_OPS = {
+    "sigmoid": tt.sigmoid,
+    "silu": tt.silu,
+    "softplus": tt.softplus,
+    # pre-activation h @ [[1]] + 0 is h itself
+    "ffn": lambda h: tt.ffn(h, np.ones((1, 1)), np.zeros(1), np.ones((1, 1)), np.zeros(1)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("op", sorted(_LOGISTIC_OPS))
+def test_logistic_ops_saturate_without_warning_far_below_zero(op):
+    """exp(-x) overflows to inf below about -709; the logistic is then the
+    exact 0, and neither pass may warn."""
+    x = Tensor(np.array([[-1e308], [-800.0], [-1.5], [2.0]]), requires_grad=True)
+    with Tape():
+        out = _LOGISTIC_OPS[op](x)
+        backward(tt.sum_(out))
+    np.testing.assert_array_equal(out.data[:2], 0.0)
+    np.testing.assert_array_equal(x.grad[:2], 0.0)
+    assert np.isfinite(out.data).all() and np.isfinite(x.grad).all()
 
 
 def test_broadcast_new_shape_rejected():

@@ -105,8 +105,8 @@ class TestFlow2dPipeline:
             train_flow2d(seed=0, steps=200, batch=16, lr=1e160)
 
     def test_mode_stats_shape(self):
-        est, _, cfg = train_flow2d(seed=0, steps=5, batch=32)
-        stats = flow2d_mode_stats(sample_flow2d(est, 100, seed=1, flow_cfg=cfg))
+        est, _, _ = train_flow2d(seed=0, steps=5, batch=32)
+        stats = flow2d_mode_stats(sample_flow2d(est, 100, seed=1))
         assert stats["weight_left"] + stats["weight_right"] == pytest.approx(1.0)
 
 
