@@ -324,7 +324,11 @@ def _read_f0(path):
         raise DataError(f"{path}: no data")
     if track.shape[1] < 2:
         raise DataError(f"{path}: expected at least 2 columns, got {track.shape[1]}")
-    return track[:, 1]
+    f0 = track[:, 1]
+    bad = np.flatnonzero(~np.isfinite(f0))
+    if bad.size:
+        raise DataError(f"{path}: row {bad[0] + 1}: F0 {f0[bad[0]]} is not finite")
+    return f0
 
 
 def _cmd_eval_f0(args):

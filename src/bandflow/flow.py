@@ -3,7 +3,7 @@
 The probability path interpolates linearly between a Gaussian draw x0 and a
 data point x1; the regression target for the field estimator is x1 - x0.
 Sampling integrates the learned field with explicit Euler steps from t=0
-(generation) or t=0.5 (style transfer from a noised prompt).
+to t=1.
 """
 
 from __future__ import annotations
@@ -99,9 +99,8 @@ def cfm_loss(estimator, sample, cond=None):
     return tt.mse(v, Tensor(sample.u))
 
 
-def euler_sample(estimator, x_init, cond, cfg: FlowConfig, t_start=0.0,
-                 null_cond=None, trace=None):
-    """Integrate the learned field from t_start to 1 with explicit Euler steps.
+def euler_sample(estimator, x_init, cond, cfg: FlowConfig, null_cond=None, trace=None):
+    """Integrate the learned field from 0 to 1 with explicit Euler steps.
 
     Each step makes one estimator call.  When `null_cond` is given and
     cfg.cfg_scale != 1, that call is a stacked pass: x_init must have a
@@ -117,9 +116,9 @@ def euler_sample(estimator, x_init, cond, cfg: FlowConfig, t_start=0.0,
         n = x.shape[0]
         cond = tuple(np.concatenate([np.asarray(c), np.asarray(u)])
                      for c, u in zip(cond, null_cond, strict=True))
-    eps = (1.0 - t_start) / cfg.infer_steps
+    eps = 1.0 / cfg.infer_steps
     for i in range(cfg.infer_steps):
-        t = t_start + i * eps
+        t = i * eps
         if guided:
             v = estimator(tt.concat([x, x], axis=0), t, cond)
             v = cfg_field(v[:n], v[n:], cfg.cfg_scale)
@@ -131,13 +130,6 @@ def euler_sample(estimator, x_init, cond, cfg: FlowConfig, t_start=0.0,
         if trace is not None:
             trace.append((i, t, float(np.abs(x.data).mean()), float(np.abs(v.data).mean())))
     return x
-
-
-def noisy_prompt_start(prompt, rng, t_start=0.5):
-    """Style-transfer start state: the training path evaluated at t_start."""
-    prompt = np.asarray(prompt, dtype=np.float64)
-    noise = rng.standard_normal(prompt.shape)
-    return (1.0 - t_start) * noise + t_start * prompt
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Maps phoneme ids plus a style tag to per-position note-pitch logits and
 positive durations, one note per phoneme.  Also houses the NoteSequence
-line format and the length regulator shared with the frame-level models.
+line format.
 """
 
 from __future__ import annotations
@@ -98,30 +98,6 @@ def load_notes(path) -> NoteSequence:
         raise DataError(f"{path}: {e}") from None
 
 
-def length_regulate(features, durations):
-    """Repeat each phoneme row `durations[i]` times along the frame axis."""
-    dur = np.asarray(durations, dtype=np.int64)
-    if dur.shape[0] != features.shape[0]:
-        raise DimensionError(f"{dur.shape[0]} durations for {features.shape[0]} rows")
-    if (dur < 0).any():
-        raise DataError("durations must be non-negative integers")
-    if dur.sum() == 0:
-        raise DataError("length regulation produced an empty output")
-    idx = np.repeat(np.arange(features.shape[0]), dur)
-    return tt.gather(features, idx)
-
-
-def log_duration_loss(predicted, target):
-    """MSE between predicted log-durations and log(target + 1)."""
-    tgt = np.asarray(target, dtype=np.float64)
-    if (tgt < 0).any():
-        raise DataError("target durations must be non-negative")
-    p = predicted if isinstance(predicted, Tensor) else Tensor(predicted)
-    if p.shape != tgt.shape:
-        raise DimensionError(f"shapes differ: {p.shape} vs {tgt.shape}")
-    return tt.mse(p, Tensor(np.log(tgt + 1.0)))
-
-
 def melody_loss(logits, durations, target):
     """Summed pitch cross-entropy plus summed squared duration error.
 
@@ -139,7 +115,7 @@ def melody_loss(logits, durations, target):
     if logits.shape[:-1] != tgt_p.shape or durations.shape != tgt_d.shape:
         raise DimensionError("prediction / target length mismatch")
     flat = tt.reshape(logits, (-1, logits.shape[-1]))
-    pitch_term = tt.cross_entropy(flat, tgt_p.reshape(-1), reduction="sum")
+    pitch_term = tt.cross_entropy(flat, tgt_p.reshape(-1))
     diff = tt.sub(durations, Tensor(tgt_d))
     return tt.add(pitch_term, tt.sum_(tt.mul(diff, diff)))
 

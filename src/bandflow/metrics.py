@@ -11,13 +11,12 @@ and relative F0 deviation.
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
-from .errors import BandflowError, ConfigError, DataError, DimensionError
+from .errors import BandflowError, DataError, DimensionError
 from .melody import NoteSequence
 
 PITCH_BINS = 128
@@ -26,10 +25,6 @@ DURATION_RANGE = (0.0, 4.0)       # beats
 SIXTEENTHS_PER_BEAT = 4
 F0_DEVIATION = 0.2
 MAX_SIXTEENTHS = 2 ** 20   # longest song grid the melody distance accepts
-
-NOTE_NAMES = {"C": 0, "C#": 1, "DB": 1, "D": 2, "D#": 3, "EB": 3, "E": 4, "F": 5,
-              "F#": 6, "GB": 6, "G": 7, "G#": 8, "AB": 8, "A": 9, "A#": 10,
-              "BB": 10, "B": 11}
 
 MODES = ("major", "minor")
 
@@ -65,11 +60,10 @@ class KeyProfileTable:
         for mode, prof in self.base.items():
             if prof.shape != (12,):
                 raise DataError(f"{mode} profile must have 12 entries")
-        self._rotated = {(tonic, mode): np.roll(self.base[mode], tonic)
-                         for tonic, mode in self.keys()}
         # Centred one rotation at a time: rotating a profile reorders its sum.
-        self._centred = {k: _centre(prof) for k, prof in self._rotated.items()}
-        for prof in (*self._rotated.values(), *self._centred.values()):
+        self._centred = {(tonic, mode): _centre(np.roll(self.base[mode], tonic))
+                         for tonic, mode in self.keys()}
+        for prof in self._centred.values():
             prof.flags.writeable = False
 
     @classmethod
@@ -84,10 +78,6 @@ class KeyProfileTable:
             table[row[0]] = [float(v) for v in row[1:]]
         return cls(major=table["major"], minor=table["minor"])
 
-    def profile(self, tonic, mode):
-        """Profile for a key as pitch-class weights (index = pitch class)."""
-        return self._rotated[tonic % 12, mode]
-
     def keys(self):
         for mode in MODES:
             for tonic in range(12):
@@ -95,24 +85,14 @@ class KeyProfileTable:
 
 
 def parse_key(key):
-    """Accepts (tonic, mode) or strings like 'C major' / 'f# minor'; any
-    other key is a DataError that names it."""
-    if isinstance(key, tuple):
-        if len(key) != 2 or key[1] not in MODES:
-            raise DataError(f"bad key {key!r}; expected (tonic, 'major' or 'minor')")
-        try:
-            return int(key[0]) % 12, key[1]
-        except (TypeError, ValueError):
-            raise DataError(f"bad key {key!r}; the tonic must be an integer") from None
-    parts = key.split() if isinstance(key, str) else ()
-    if len(parts) != 2:
-        raise DataError(f"bad key {key!r}; expected a note name and a mode")
-    name, mode = parts[0].upper(), parts[1].lower()
-    if name not in NOTE_NAMES:
-        raise DataError(f"unknown note name {parts[0]!r} in key {key!r}")
-    if mode not in MODES:
-        raise DataError(f"unknown mode {parts[1]!r} in key {key!r}; expected major or minor")
-    return NOTE_NAMES[name], mode
+    """A (tonic, mode) key as (tonic % 12, mode); any other key is a
+    DataError that names it."""
+    if not isinstance(key, tuple) or len(key) != 2 or key[1] not in MODES:
+        raise DataError(f"bad key {key!r}; expected (tonic, 'major' or 'minor')")
+    try:
+        return int(key[0]) % 12, key[1]
+    except (TypeError, ValueError):
+        raise DataError(f"bad key {key!r}; the tonic must be an integer") from None
 
 
 def pitch_class_histogram(notes: NoteSequence):
@@ -141,7 +121,7 @@ def _centre(values):
 
 def _key_scores(hist, table, keys):
     """Yields, for each key, the correlation np.corrcoef gives for hist and
-    table.profile(*key), bitwise, without np.cov's argument handling.
+    the key's rotated profile, bitwise, without np.cov's argument handling.
 
     The histogram is centred once and each key's profile comes centred from
     the table; each key then gets np.cov's own 2x2 symmetric product of
@@ -216,8 +196,6 @@ def apd_td(gen: NoteSequence, gt: NoteSequence):
     tp = [p for p, _ in gt.sounding()]
     if not gp or not tp:
         raise DataError("empty note sequence")
-    if gen.tempo is None or gt.tempo is None:
-        raise ConfigError("tempo required for the duration metric")
     apd = abs(float(np.mean(gp)) - float(np.mean(tp)))
     td = abs(gen.total_seconds() - gt.total_seconds())
     return apd, td
@@ -242,20 +220,10 @@ def _duration_hist(notes):
     return hist / hist.sum()
 
 
-def dist_similarity(gen_set, gt_set):
-    """Mean per-song histogram overlap: (pitch PD, duration DD)."""
-    if len(gen_set) != len(gt_set):
-        raise DimensionError("generated and reference sets differ in size")
-    pd_vals, dd_vals = [], []
-    for gen, gt in zip(gen_set, gt_set):
-        if not gen.sounding() or not gt.sounding():
-            warnings.warn("skipping empty sequence in distribution similarity")
-            continue
-        pd_vals.append(overlapped_area(_pitch_hist(gen), _pitch_hist(gt)))
-        dd_vals.append(overlapped_area(_duration_hist(gen), _duration_hist(gt)))
-    if not pd_vals:
-        raise DataError("no nonempty sequence pairs")
-    return float(np.mean(pd_vals)), float(np.mean(dd_vals))
+def dist_similarity(gen: NoteSequence, gt: NoteSequence):
+    """One pair's histogram overlaps: (pitch PD, duration DD)."""
+    return (overlapped_area(_pitch_hist(gen), _pitch_hist(gt)),
+            overlapped_area(_duration_hist(gen), _duration_hist(gt)))
 
 
 def expand_sixteenths(notes: NoteSequence):
@@ -433,7 +401,7 @@ def _report_terms(gen, gt, gt_key):
         r = key_correlation(gt, gt_key)
     ka = _key_ratio(gen, r, gt_key)
     apd, td = apd_td(gen, gt)
-    pd_val, dd_val = dist_similarity([gen], [gt])
+    pd_val, dd_val = dist_similarity(gen, gt)
     return (ka, apd, td, pd_val, dd_val), _centred_grids(gen, gt)
 
 

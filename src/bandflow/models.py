@@ -117,10 +117,6 @@ class AccompFlowModel:
         for block, moe in zip(self.blocks, self.moes):
             block.moe = PlainBandFFN(moe)
 
-    def use_moe(self):
-        for block, moe in zip(self.blocks, self.moes):
-            block.moe = moe
-
 
 class StylePredictorModel:
     """WaveNet field estimator conditioned through style-aligned content.

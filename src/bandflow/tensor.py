@@ -694,8 +694,8 @@ def conv1d(x, kernels, dilation=1, bias=None):
 # ---------------------------------------------------------------------------
 # losses and lookups
 
-def cross_entropy(logits, targets, reduction="mean"):
-    """Negative log-likelihood of integer targets under softmax(logits)."""
+def cross_entropy(logits, targets):
+    """Summed negative log-likelihood of integer targets under softmax(logits)."""
     logits = _as_tensor(logits)
     idx = np.asarray(targets, dtype=np.int64)
     if logits.ndim != 2:
@@ -707,21 +707,14 @@ def cross_entropy(logits, targets, reduction="mean"):
         raise BoundsError(f"target index out of range [0, {k})")
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1)) - shifted[np.arange(n), idx]
-    if reduction == "mean":
-        out = np.asarray(lse.mean())
-        scale = 1.0 / n
-    elif reduction == "sum":
-        out = np.asarray(lse.sum())
-        scale = 1.0
-    else:
-        raise ConfigError(f"unknown reduction {reduction!r}")
+    out = np.asarray(lse.sum())
     probs = np.exp(shifted)
     probs /= probs.sum(axis=1, keepdims=True)
 
     def grad_fn(g):
         gg = probs.copy()
         gg[np.arange(n), idx] -= 1.0
-        return gg * (float(g) * scale)
+        return gg * float(g)
 
     return _make(out, [(logits, grad_fn)])
 

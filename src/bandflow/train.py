@@ -16,7 +16,7 @@ from . import tensor as tt
 from .errors import DimensionError, NumericError
 from .flow import (FlowConfig, FlowSample, MLPEstimator, cfm_loss, euler_sample,
                    make_flow_sample, stack_flow_samples)
-from .melody import MelodyModel, melody_loss, NoteSequence
+from .melody import MelodyModel, melody_loss
 from .metrics import evaluate_pairs
 from .models import AccompFlowModel, StylePredictorModel
 from .moe import RouterState, TAU_LOW, gate_entropy, tau_schedule
@@ -109,18 +109,6 @@ def sample_flow2d(est, n, seed, trace=None):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, 2))
     return euler_sample(est, x, None, FlowConfig(cfg_scale=1.0), trace=trace).data
-
-
-def flow2d_mode_stats(samples):
-    """Per-mode means and weights, assigning each point to the nearest mode."""
-    left = samples[samples[:, 0] < 0]
-    right = samples[samples[:, 0] >= 0]
-    return {
-        "mean_left": left.mean(axis=0) if len(left) else np.zeros(2),
-        "mean_right": right.mean(axis=0) if len(right) else np.zeros(2),
-        "weight_left": len(left) / len(samples),
-        "weight_right": len(right) / len(samples),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -279,17 +267,6 @@ def melody_report(model, songs):
     rows = [rep.row() for rep in evaluate_pairs(pairs)]
     mean_row = np.asarray(rows).mean(axis=0).tolist()
     return mean_row, rows
-
-
-def random_melody_baseline(songs, seed=0):
-    """Uniform-random pitch generations over the songs' pitch span."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for s in songs:
-        pitches = rng.integers(48, 84, size=len(s.notes)).tolist()
-        out.append(NoteSequence(pitches=pitches, durations=list(s.notes.durations),
-                                tempo=s.notes.tempo))
-    return out
 
 
 __all__ = [name for name in dir() if not name.startswith("_")]

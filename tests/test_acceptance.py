@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import bandflow.tensor as tt
+from acceptance_helpers import flow2d_mode_stats, random_melody_baseline
 from bandflow.checkpoint import load_checkpoint, save_checkpoint
 from bandflow.flow import FlowConfig, cfg_field, euler_sample
 from bandflow.gradcheck import gradcheck_all
@@ -27,10 +28,8 @@ from bandflow.synth import gen_melody_grammar
 from bandflow.tensor import Tensor
 from bandflow.train import (
     eval_accomp,
-    flow2d_mode_stats,
     melody_pitch_accuracy,
     melody_report,
-    random_melody_baseline,
     sample_flow2d,
     train_accomp,
     train_flow2d,

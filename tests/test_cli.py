@@ -17,6 +17,7 @@ from bandflow.errors import BandflowError, ConfigError, DataError
 from bandflow.flow import MLPEstimator
 from bandflow.melody import NoteSequence, load_notes, save_notes
 from bandflow.metrics import REPORT_COLUMNS, expand_sixteenths
+from bandflow.synth import gen_melody_grammar
 from bandflow.train import ROUTE_COLUMNS
 
 
@@ -641,6 +642,42 @@ class TestEvalMelodyDirectories:
         assert 2 * (max(diagonals) - 1) <= calls[0] <= 2 * max(diagonals)
         assert 2 * max(diagonals) < 2 * sum(d - 1 for d in diagonals)
 
+    # eval-melody's stdout on _golden_dirs, byte for byte (csv writes \r\n)
+    GOLDEN = ("KA,APD,TD,PD,DD,MD\r\n"
+              "0.413512,0.375000,0.750000,0.625000,0.750000,18.777778\r\n"
+              "0.103432,0.375000,1.000000,0.625000,0.750000,24.243636\r\n"
+              "0.402064,0.375000,1.000000,0.625000,0.750000,20.830144\r\n"
+              "0.306336,0.375000,0.916667,0.625000,0.750000,21.283853\r\n")
+
+    @staticmethod
+    def _golden_dirs(tmp_path):
+        """Three grammar songs as references; each generated song raises
+        every third pitch a semitone and stretches every fourth note by half."""
+        for side in ("gen", "ref"):
+            (tmp_path / side).mkdir()
+        for i, song in enumerate(gen_melody_grammar(5, 3)):
+            ref = song.notes
+            gen = NoteSequence(
+                pitches=[p + (k % 3 == 0) for k, p in enumerate(ref.pitches)],
+                durations=[d * (1.5 if k % 4 == 0 else 1.0) for k, d in enumerate(ref.durations)],
+                tempo=ref.tempo)
+            save_notes(gen, tmp_path / "gen" / f"song{i}.notes")
+            save_notes(ref, tmp_path / "ref" / f"song{i}.notes")
+        return str(tmp_path / "gen"), str(tmp_path / "ref")
+
+    def test_golden_stdout(self, tmp_path, capsys):
+        gen, ref = self._golden_dirs(tmp_path)
+        assert run(["eval-melody", gen, ref], capsys) == (0, self.GOLDEN, "")
+
+    def test_song_without_tempo_names_the_pair(self, tmp_path, capsys):
+        gen, ref = self._dirs(tmp_path, ["a.notes", "b.notes"], ["a.notes", "b.notes"])
+        lost = Path(ref) / "b.notes"
+        lost.write_text(lost.read_text().replace("tempo=120\n", ""))
+        code, out, err = run(["eval-melody", gen, ref], capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"error: {Path(gen) / 'b.notes'} vs {lost}: "
+                       "tempo required to convert beats to seconds\n")
+
     def test_failed_out_write_prints_nothing(self, tmp_path, capsys):
         gen, ref = self._dirs(tmp_path, ["a.notes"], ["a.notes"])
         out_csv = tmp_path / "nodir" / "x.csv"
@@ -730,6 +767,17 @@ class TestEvalF0:
         assert code == 2
         assert out == ""
         assert err == f"error: {empty}: no data\n"
+
+    @pytest.mark.filterwarnings("error")   # a warning would be a second stderr line
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_f0_exits_two(self, tmp_path, capsys, value):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text("0,100\n1,100\n2,200\n")
+        bad.write_text(f"0,100\n1,{value}\n2,200\n")
+        for argv in ([str(bad), str(good)], [str(good), str(bad)]):
+            code, out, err = run(["eval-f0", *argv], capsys)
+            assert (code, out) == (2, "")
+            assert err == f"error: {bad}: row 2: F0 {value} is not finite\n"
 
 
 class TestGradcheckCommand:

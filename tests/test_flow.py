@@ -12,7 +12,6 @@ from bandflow.flow import (
     cfm_loss,
     euler_sample,
     make_flow_sample,
-    noisy_prompt_start,
     stack_flow_samples,
 )
 from bandflow.optim import Adam
@@ -206,15 +205,6 @@ class TestEuler:
                      FlowConfig(infer_steps=4, cfg_scale=1.0), trace=trace)
         assert len(trace) == 4
         assert trace[0][0] == 0 and trace[0][1] == 0.0
-
-    def test_style_transfer_start(self):
-        rng = np.random.default_rng(0)
-        prompt = np.full(8, 4.0)
-        start = noisy_prompt_start(prompt, rng, t_start=0.5)
-        assert np.all(np.abs(start - 0.5 * prompt) < 3.0)
-        out = euler_sample(ConstantField(np.zeros(8)), start, None,
-                           FlowConfig(infer_steps=10, cfg_scale=1.0), t_start=0.5)
-        np.testing.assert_array_equal(out.data, start)
 
 
 class TestCfgField:

@@ -5,15 +5,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import bandflow.tensor as tt
 from bandflow.errors import BandflowError, BoundsError, DataError, DimensionError
 from bandflow.melody import (
     REST,
     MelodyModel,
     NoteSequence,
-    length_regulate,
     load_notes,
-    log_duration_loss,
     melody_loss,
     save_notes,
 )
@@ -94,38 +91,7 @@ class TestNoteSequence:
             pass
 
 
-class TestLengthRegulate:
-    def test_repeat_counts(self):
-        rows = Tensor(np.array([[1.0], [2.0], [3.0]]))
-        out = length_regulate(rows, [2, 0, 3])
-        np.testing.assert_array_equal(out.data.ravel(), [1, 1, 3, 3, 3])
-
-    def test_empty_output_rejected(self):
-        with pytest.raises(DataError):
-            length_regulate(Tensor(np.zeros((2, 1))), [0, 0])
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            length_regulate(Tensor(np.zeros((2, 1))), [1, 1, 1])
-
-    def test_gradient_accumulates_by_repeat_count(self):
-        rows = Tensor(np.random.default_rng(0).standard_normal((2, 3)),
-                      requires_grad=True)
-        with Tape():
-            backward(tt.sum_(length_regulate(rows, [3, 1])))
-        np.testing.assert_array_equal(rows.grad, [[3.0] * 3, [1.0] * 3])
-
-
 class TestLosses:
-    def test_log_duration_exact_zero(self):
-        tgt = np.array([0.0, 1.0, 3.0])
-        pred = Tensor(np.log(tgt + 1.0))
-        assert log_duration_loss(pred, tgt).item() == pytest.approx(0.0)
-
-    def test_log_duration_negative_target(self):
-        with pytest.raises(DataError):
-            log_duration_loss(Tensor(np.zeros(2)), [-1.0, 1.0])
-
     def test_melody_loss_perfect_prediction(self):
         target = NoteSequence(pitches=[3, 1], durations=[1.0, 0.5])
         logits = np.full((2, 5), -100.0)

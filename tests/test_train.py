@@ -12,13 +12,12 @@ from bandflow.models import StylePredictorModel
 from bandflow.optim import Adam
 from bandflow.synth import MelodySample, gen_melody_grammar, gen_style_toy
 from bandflow.tensor import ParameterStore, Tape, backward
+from acceptance_helpers import flow2d_mode_stats, random_melody_baseline
 from bandflow.train import (
     eval_accomp,
     fit,
-    flow2d_mode_stats,
     melody_batch_loss,
     melody_pitch_accuracy,
-    random_melody_baseline,
     route_trace_rows,
     sample_flow2d,
     train_accomp,
