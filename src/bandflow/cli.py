@@ -245,8 +245,7 @@ def _cmd_train(args):
             rows = tr.route_trace_rows(model, held[0])
             tr.write_csv(str(Path(out).with_suffix(".route.csv")), tr.ROUTE_COLUMNS, rows)
     elif args.model == "melody":
-        acc = tr.melody_pitch_accuracy(model, held)
-        mean_row, rows = tr.melody_report(model, held)
+        acc, mean_row, rows = tr.melody_report(model, held)
         report_csv = str(Path(out).with_suffix(".report.csv"))
         tr.write_csv(report_csv, list(REPORT_COLUMNS), rows + [mean_row])
         print(f"held-out pitch accuracy: {acc:.4f}")
@@ -313,7 +312,8 @@ def _cmd_eval_melody(args):
 
 
 def _read_f0(path):
-    """The second column of a numeric CSV: F0 per frame, 0 when unvoiced."""
+    """The second column of a numeric CSV: F0 per frame, 0 when unvoiced;
+    a non-finite or negative F0 is a DataError naming the file and row."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)   # empty input, reported below
@@ -328,6 +328,9 @@ def _read_f0(path):
     bad = np.flatnonzero(~np.isfinite(f0))
     if bad.size:
         raise DataError(f"{path}: row {bad[0] + 1}: F0 {f0[bad[0]]} is not finite")
+    bad = np.flatnonzero(f0 < 0)
+    if bad.size:
+        raise DataError(f"{path}: row {bad[0] + 1}: F0 {f0[bad[0]]} is negative")
     return f0
 
 

@@ -180,14 +180,12 @@ class MLPEstimator:
         self.b_out = p.add("mlp.b_out", np.zeros(dim))
 
     def __call__(self, xt, t, cond=None):
-        """`cond` completes the estimator contract and is ignored."""
-        squeeze = xt.ndim == 1
-        x = tt.reshape(xt, (1, self.dim)) if squeeze else xt
-        n = x.shape[0]
+        """xt: [B, dim]; `cond` completes the estimator contract and is
+        ignored."""
+        n = xt.shape[0]
         temb = self.time(np.full(n, float(t)) if np.isscalar(t) else t)
-        h = tt.silu(tt.ffn(tt.concat([x, temb], axis=1), self.w0, self.b0, self.w1, self.b1))
-        out = tt.add(tt.matmul(h, self.w_out), self.b_out)
-        return tt.reshape(out, (self.dim,)) if squeeze else out
+        h = tt.silu(tt.ffn(tt.concat([xt, temb], axis=1), self.w0, self.b0, self.w1, self.b1))
+        return tt.add(tt.matmul(h, self.w_out), self.b_out)
 
 
 class WaveNetEstimator:
@@ -231,10 +229,11 @@ class WaveNetEstimator:
         self.b_out = p.add("wavenet.b_out", np.zeros(x_channels))
 
     def __call__(self, xt, t, cond):
-        """xt: [..., x_channels, T]; t: a float, or an array of one time per
-        row (shape xt.shape[:-2]); cond: [..., cond_channels, T] tensor or
-        array.  Every op stacks over the leading axes, so each row's output
-        is bitwise its own one-row call's."""
+        """xt: [..., x_channels, T]; t: one time per row (shape
+        xt.shape[:-2], so a float for one [x_channels, T] clip); cond:
+        [..., cond_channels, T] tensor or array.  Every op stacks over the
+        leading axes, so each row's output is bitwise its own one-row
+        call's."""
         x = xt if isinstance(xt, Tensor) else Tensor(xt)
         if x.ndim < 2 or x.shape[-2] != self.x_channels:
             raise DimensionError(
@@ -244,13 +243,10 @@ class WaveNetEstimator:
         if c.shape != lead + (self.cond_channels, T):
             raise DimensionError(
                 f"condition shape {c.shape} != {lead + (self.cond_channels, T)}")
-        if np.ndim(t) == 0:
-            temb = self.time(float(t))                  # [1, cond_channels]
-        elif np.shape(t) == lead:
-            # [..., 1, cond_channels]: one gemv per row, as in a one-row call
-            temb = self.time(np.reshape(t, lead + (1,)))
-        else:
+        if np.shape(t) != lead:
             raise DimensionError(f"times of shape {np.shape(t)} for input rows {lead}")
+        # [..., 1, cond_channels]: one gemv per row, as in a one-row call
+        temb = self.time(np.reshape(t, lead + (1,)))
         c = tt.add(c, tt.swapaxes(temb, -1, -2))        # broadcast over frames
         h = tt.matmul(self.w_in, x)
         r = self.residual_channels

@@ -98,20 +98,15 @@ def load_notes(path) -> NoteSequence:
         raise DataError(f"{path}: {e}") from None
 
 
-def melody_loss(logits, durations, target):
-    """Summed pitch cross-entropy plus summed squared duration error.
-
-    logits [n, K] and durations [n] score one NoteSequence; [B, n, K] and
-    [B, n] score a list of B NoteSequences of length n, one per row.
+def melody_loss(logits, durations, targets):
+    """Summed pitch cross-entropy plus summed squared duration error of
+    logits [B, n, K] and durations [B, n] against a list of B NoteSequences
+    of length n, one per row.
     """
-    one = isinstance(target, NoteSequence)
-    targets = [target] if one else list(target)
     if len({len(t) for t in targets}) != 1:
         raise DimensionError("melody_loss needs one or more targets of one length")
     tgt_p = np.asarray([t.pitches for t in targets], dtype=np.int64)
     tgt_d = np.asarray([t.durations for t in targets], dtype=np.float64)
-    if one:
-        tgt_p, tgt_d = tgt_p[0], tgt_d[0]
     if logits.shape[:-1] != tgt_p.shape or durations.shape != tgt_d.shape:
         raise DimensionError("prediction / target length mismatch")
     flat = tt.reshape(logits, (-1, logits.shape[-1]))

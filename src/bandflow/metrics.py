@@ -210,7 +210,10 @@ def _pitch_hist(notes):
     hist = np.zeros(PITCH_BINS)
     for p, _ in notes.sounding():
         hist[p] += 1
-    return hist / hist.sum()
+    total = hist.sum()
+    if not total:
+        raise DataError("pitch histogram of a song with no sounding note")
+    return hist / total
 
 
 def _duration_hist(notes):

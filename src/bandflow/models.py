@@ -31,12 +31,12 @@ class AccompFlowModel:
     The vocal embedding is added to the noisy input at entry; style-tag
     tokens condition the gated cross-attention and the controlled expert
     group; the final row of the tag table is the learned null condition
-    used for guidance.  Call signature matches the estimator contract,
-    in one of two forms:
+    used for guidance: tag id n_tags selects it.  Call signature matches
+    the estimator contract, in one of two forms:
 
-    - one clip: (xt [T, data_dim], t, cond=(v [T, data_dim], tag_id or None));
+    - one clip: (xt [T, data_dim], t, cond=(v [T, data_dim], tag_id));
     - a batch: (xt [B, T, data_dim], t, cond=(v [B, T, data_dim], tags [B])),
-      one tag id per row, where n_tags selects the null condition.
+      one tag id per row.
 
     A batch runs in chunks of at most ACCOMP_CHUNK_TOKENS tokens (rows x T,
     at least one row each).  Rows never mix, so each row's output equals
@@ -66,10 +66,10 @@ class AccompFlowModel:
         self.state = RouterState()
 
     def tag_tokens_for(self, tag):
-        """Prompt tokens [ACCOMP_TAG_TOKENS, width] for a tag id, where None
-        selects the null condition row; [B, ACCOMP_TAG_TOKENS, width] for an
-        array of B tag ids."""
-        idx = np.asarray(self.n_tags if tag is None else tag, dtype=np.int64)
+        """Prompt tokens [ACCOMP_TAG_TOKENS, width] for a tag id, where
+        n_tags selects the null condition row; [B, ACCOMP_TAG_TOKENS, width]
+        for an array of B tag ids."""
+        idx = np.asarray(tag, dtype=np.int64)
         rows = tt.gather(self.tag_emb, idx.reshape(-1))
         return tt.reshape(rows, idx.shape + (ACCOMP_TAG_TOKENS, self.width))
 

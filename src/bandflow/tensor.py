@@ -37,7 +37,6 @@ __all__ = [
     "reshape",
     "getitem",
     "concat",
-    "exp",
     "tanh",
     "sigmoid",
     "silu",
@@ -83,7 +82,9 @@ class Tensor:
         return self.data.size
 
     def item(self):
-        return float(self.data.reshape(-1)[0]) if self.size == 1 else _scalar_err(self)
+        if self.size != 1:
+            raise DimensionError(f"expected scalar tensor, got shape {self.shape}")
+        return float(self.data.reshape(-1)[0])
 
     def zero_grad(self):
         if self.grad is not None:
@@ -101,10 +102,6 @@ class Tensor:
 
     def __getitem__(self, key):
         return getitem(self, key)
-
-
-def _scalar_err(t):
-    raise DimensionError(f"expected scalar tensor, got shape {t.shape}")
 
 
 class _Node:
@@ -250,12 +247,6 @@ def mul(a, b):
         (a, lambda g: _unbroadcast(g * b.data, a.shape)),
         (b, lambda g: _unbroadcast(g * a.data, b.shape)),
     ])
-
-
-def exp(a):
-    a = _as_tensor(a)
-    out = np.exp(a.data)
-    return _make(out, [(a, lambda g: g * out)])
 
 
 def tanh(a):

@@ -164,7 +164,7 @@ def train_accomp(seed, steps, batch=4, n_pairs=ACCOMP_PAIRS, n_tags=ACCOMP_TAGS,
         model.state = RouterState(tau=tau, mode="dense", rng=rng)
         for _ in range(batch):
             pair = train_pairs[int(rng.integers(len(train_pairs)))]
-            tag = None if rng.uniform() < ACCOMP_COND_DROP else pair.tag
+            tag = n_tags if rng.uniform() < ACCOMP_COND_DROP else pair.tag
             sample = make_flow_sample(pair.a, rng, cfg)
             yield functools.partial(loss_with_balance, sample, (pair.v, tag))
 
@@ -250,23 +250,17 @@ def train_melody(seed, steps, batch=8, n_songs=MELODY_SONGS, holdout=20,
     return model, losses, (train_songs, held)
 
 
-def melody_pitch_accuracy(model, songs):
-    correct = total = 0
-    for s in songs:
-        logits, _ = model.forward(s.phonemes, s.tag)
-        pred = logits.data.argmax(axis=1)
-        correct += int((pred == np.asarray(s.notes.pitches)).sum())
-        total += len(s.notes)
-    return correct / total
-
-
 def melody_report(model, songs):
-    """Mean held-out metric row in the standard column order, plus per-song rows."""
-    pairs = ((model.predict(s.phonemes, s.tag, s.notes.tempo), s.notes, (s.tag, "major"), None)
-             for s in songs)
-    rows = [rep.row() for rep in evaluate_pairs(pairs)]
+    """One held-out pass, one forward per song: the pitch accuracy, the mean
+    metric row in the standard column order, and the per-song rows."""
+    preds = [model.predict(s.phonemes, s.tag, s.notes.tempo) for s in songs]
+    correct = sum(p == q for pred, s in zip(preds, songs)
+                  for p, q in zip(pred.pitches, s.notes.pitches))
+    accuracy = correct / sum(len(s.notes) for s in songs)
+    rows = [rep.row() for rep in evaluate_pairs(
+        (pred, s.notes, (s.tag, "major"), None) for pred, s in zip(preds, songs))]
     mean_row = np.asarray(rows).mean(axis=0).tolist()
-    return mean_row, rows
+    return accuracy, mean_row, rows
 
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -779,6 +779,16 @@ class TestEvalF0:
             assert (code, out) == (2, "")
             assert err == f"error: {bad}: row 2: F0 {value} is not finite\n"
 
+    @pytest.mark.filterwarnings("error")   # a warning would be a second stderr line
+    def test_negative_f0_exits_two(self, tmp_path, capsys):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text("0,100\n1,100\n2,200\n")
+        bad.write_text("0,100\n1,-50\n2,200\n")
+        for argv in ([str(bad), str(good)], [str(good), str(bad)]):
+            code, out, err = run(["eval-f0", *argv], capsys)
+            assert (code, out) == (2, "")
+            assert err == f"error: {bad}: row 2: F0 -50.0 is negative\n"
+
 
 class TestGradcheckCommand:
     def test_passes_with_small_trial_count(self, capsys):

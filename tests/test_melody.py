@@ -96,19 +96,19 @@ class TestLosses:
         target = NoteSequence(pitches=[3, 1], durations=[1.0, 0.5])
         logits = np.full((2, 5), -100.0)
         logits[0, 3] = logits[1, 1] = 100.0
-        val = melody_loss(Tensor(logits), Tensor([1.0, 0.5]), target)
+        val = melody_loss(Tensor(logits[None]), Tensor([[1.0, 0.5]]), [target])
         assert val.item() == pytest.approx(0.0, abs=1e-10)
 
     def test_melody_loss_duration_term(self):
         target = NoteSequence(pitches=[0], durations=[1.0])
-        logits = np.array([[100.0, -100.0]])
-        val = melody_loss(Tensor(logits), Tensor([1.5]), target)
+        logits = np.array([[[100.0, -100.0]]])
+        val = melody_loss(Tensor(logits), Tensor([[1.5]]), [target])
         assert val.item() == pytest.approx(0.25, abs=1e-10)
 
     def test_melody_loss_length_mismatch(self):
         target = NoteSequence(pitches=[0, 1], durations=[1.0, 1.0])
         with pytest.raises(DimensionError):
-            melody_loss(Tensor(np.zeros((1, 2))), Tensor([1.0]), target)
+            melody_loss(Tensor(np.zeros((1, 1, 2))), Tensor([[1.0]]), [target])
 
 
 class TestMelodyModel:
@@ -145,8 +145,8 @@ class TestMelodyModel:
         opt = Adam(model.params, lr=5e-3)
         for _ in range(250):
             with Tape():
-                logits, dur = model.forward(phonemes, 0)
-                backward(melody_loss(logits, dur, target))
+                logits, dur = model.forward(phonemes[None], [0])
+                backward(melody_loss(logits, dur, [target]))
             opt.step()
             opt.zero_grad()
         pred = model.predict(phonemes, 0, 120.0)

@@ -259,6 +259,13 @@ class TestSequenceStats:
             assert pd_val == pytest.approx(1.0)
             assert dd_val == pytest.approx(1.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_dist_similarity_rejects_a_song_without_notes(self):
+        song, rests = _seq([60, 62]), _seq([REST, REST])
+        for pair in ((song, rests), (rests, song)):
+            with pytest.raises(DataError, match="no sounding note"):
+                dist_similarity(*pair)
+
 
 class TestDtw:
     def test_identical_series_zero(self):

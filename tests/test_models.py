@@ -32,7 +32,7 @@ def _rows(model, x, t, v, tags, state):
     out = []
     for xi, vi, tag in zip(x, v, tags):
         model.state = state()
-        out.append(model(Tensor(xi), t, (vi, None if tag == N_TAGS else int(tag))).data)
+        out.append(model(Tensor(xi), t, (vi, int(tag))).data)
     return np.stack(out)
 
 
@@ -109,7 +109,7 @@ def _per_clip_eval(model, held_pairs, n_tags, seed, gamma, infer_steps):
             t = i * eps
             v = model(x, t, (pair.v, pair.tag))
             if cfg.cfg_scale != 1.0:
-                v = cfg_field(v, model(x, t, (pair.v, None)), cfg.cfg_scale)
+                v = cfg_field(v, model(x, t, (pair.v, model.n_tags)), cfg.cfg_scale)
             x = tt.add(x, tt.mul(v, eps))
         target = tag_transform(pair.v, pair.tag, n_tags)
         corrs.append(float(np.corrcoef(x.data.ravel(), target.ravel())[0, 1]))

@@ -11,7 +11,9 @@ Deleting a knob lowers the count; the bound then moves down with it.
 Reachability.  Every command, and each failure a user reaches, runs at tiny
 sizes under a profiler; a function none of them calls must be named in
 UNREACHED with its reason, and an entry that a command now reaches, or that
-is gone, must leave the list.
+is gone, must leave the list.  A call made from gradcheck.py's code does not
+count unless it lands in gradcheck.py: a gradcheck case is a test of an op,
+not a use of it.
 """
 
 import ast
@@ -22,7 +24,7 @@ import pytest
 
 import bandflow
 import bandflow.cli as cli
-from bandflow import blocks, metrics
+from bandflow import blocks, gradcheck, metrics
 from bandflow.synth import FLOW2D_MIN_POINTS
 
 MAX_SETTABLE = 69
@@ -119,7 +121,6 @@ UNREACHED = {
     "metrics.evaluate_pair": "one-pair metric: the report oracles call it",
     "tensor.Tensor.__repr__": "debugging aid",
     "tensor.ParameterStore.__getitem__": "tests read parameters by name",
-    "tensor._scalar_err": "Tensor.item's error on a non-scalar, which no command makes",
 }
 
 
@@ -189,10 +190,18 @@ def test_every_function_is_reached_by_a_command_or_allowlisted(tmp_path, monkeyp
     blocks._rope_tables.cache_clear()
     monkeypatch.setattr(metrics, "_TABLE", None)
     seen = set()
+    checker = gradcheck.gradcheck_all.__code__.co_filename
+    depth = 0      # gradcheck.py frames on the stack
 
     def record(frame, event, arg):
+        nonlocal depth
+        own = frame.f_code.co_filename == checker
         if event == "call":
-            seen.add(frame.f_code)
+            if own or depth == 0:
+                seen.add(frame.f_code)
+            depth += own
+        elif event == "return":
+            depth -= own
 
     previous = sys.getprofile()
     sys.setprofile(record)

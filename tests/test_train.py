@@ -17,7 +17,7 @@ from bandflow.train import (
     eval_accomp,
     fit,
     melody_batch_loss,
-    melody_pitch_accuracy,
+    melody_report,
     route_trace_rows,
     sample_flow2d,
     train_accomp,
@@ -301,8 +301,8 @@ def _per_song_loss(model, songs):
     """The oracle: the loop melody_batch_loss replaced, one forward per song."""
     total = None
     for s in songs:
-        logits, durs = model.forward(s.phonemes, s.tag)
-        term = tt.mul(melody_loss(logits, durs, s.notes), 1.0 / len(s.notes))
+        logits, durs = model.forward(s.phonemes[None], [s.tag])
+        term = tt.mul(melody_loss(logits, durs, [s.notes]), 1.0 / len(s.notes))
         total = term if total is None else tt.add(total, term)
     return tt.mul(total, 1.0 / len(songs))
 
@@ -396,7 +396,7 @@ class TestMelodyPipeline:
         model, losses, (train_songs, held) = train_melody(
             seed=0, steps=40, batch=4, n_songs=30, holdout=5, width=32, layers=1)
         assert np.mean(losses[-5:]) < np.mean(losses[:5])
-        acc = melody_pitch_accuracy(model, held)
+        acc, _, _ = melody_report(model, held)
         assert 0.0 <= acc <= 1.0
 
     def test_random_baseline_matches_durations(self):
