@@ -84,6 +84,13 @@ def positional_encoding(T, d):
     return pe
 
 
+def tag_tokens(table, tags, tokens):
+    """Prompt tokens of tag ids: each id's row of a [tags, tokens * width]
+    embedding table, as tags.shape + (tokens, width)."""
+    tags = np.asarray(tags, dtype=np.int64)
+    return tt.reshape(tt.gather(table, tags), tags.shape + (tokens, table.shape[1] // tokens))
+
+
 def global_style(z_p, z_v, time_vec):
     """Token-axis mean of prompt tokens and vocal embedding plus time features.
 

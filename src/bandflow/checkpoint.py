@@ -19,12 +19,9 @@ MAGIC = b"VBND"
 VERSION = 1
 
 
-def save_checkpoint(params, path) -> None:
-    """Write named arrays; accepts a ParameterStore or a name->array dict."""
-    if isinstance(params, ParameterStore):
-        items = [(name, t.data) for name, t in params.items()]
-    else:
-        items = sorted((str(k), np.asarray(v)) for k, v in params.items())
+def save_checkpoint(store: ParameterStore, path) -> None:
+    """Write a store's parameters, in its (lexicographic) name order."""
+    items = [(name, t.data) for name, t in store.items()]
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<II", VERSION, len(items)))

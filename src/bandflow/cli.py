@@ -190,13 +190,26 @@ def build_parser():
 # ---------------------------------------------------------------------------
 # subcommand bodies
 
+def _points(n, draw):
+    """draw(), which returns n (x, y) float64 points; a count too large for
+    one numpy array (sys.maxsize bytes) or for memory is a DataError."""
+    if n * 16 > sys.maxsize:
+        raise DataError(f"cannot hold {n} points in one array")
+    try:
+        return draw()
+    except MemoryError:
+        raise DataError(f"not enough memory for {n} points") from None
+
+
 def _cmd_gen_data(args):
     opt = Options(args)
     seed = opt.at_least("seed", 0, 0)
     task = args.task
     n = opt.at_least("n", TASKS[task], FLOW2D_MIN_POINTS if task == "flow2d" else 1)
     out = Path(opt.get("out", "data", str))
-    data = GENERATORS[task](seed, n)      # before mkdir: a failed draw writes nothing
+    # drawn before mkdir: a failed draw writes nothing
+    draw = functools.partial(GENERATORS[task], seed, n)
+    data = _points(n, draw) if task == "flow2d" else draw()
     out.mkdir(parents=True, exist_ok=True)
     if task == "flow2d":
         np.savetxt(out / "flow2d.csv", data, delimiter=",", header="x,y", comments="")
@@ -263,7 +276,7 @@ def _cmd_sample(args):
     trace = [] if opt.get("trace", False, bool) else None
     est = MLPEstimator(2, tr.FLOW2D_HIDDEN, np.random.default_rng(0))
     load_into(est.params, args.ckpt)
-    samples = tr.sample_flow2d(est, n, seed=seed, trace=trace)
+    samples = _points(n, lambda: tr.sample_flow2d(est, n, seed=seed, trace=trace))
     np.savetxt(out, samples, delimiter=",", header="x,y", comments="")
     if trace is not None:
         tr.write_csv(str(Path(out).with_suffix(".trace.csv")), TRACE_COLUMNS, trace)

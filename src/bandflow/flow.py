@@ -179,7 +179,7 @@ class MLPEstimator:
         self.w_out = p.add("mlp.w_out", np.zeros((hidden, dim)))
         self.b_out = p.add("mlp.b_out", np.zeros(dim))
 
-    def __call__(self, xt, t, cond=None):
+    def __call__(self, xt, t, cond):
         """xt: [B, dim]; `cond` completes the estimator contract and is
         ignored."""
         n = xt.shape[0]
@@ -197,7 +197,7 @@ class WaveNetEstimator:
     the output projection is zero-initialized so the field starts at zero.
     """
 
-    def __init__(self, x_channels, cond_channels, rng, residual_channels=32, layers=4):
+    def __init__(self, x_channels, cond_channels, rng, residual_channels, layers):
         self.x_channels = x_channels
         self.cond_channels = cond_channels
         self.residual_channels = residual_channels

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tt
-from .blocks import FeedForward, positional_encoding, sdp_attention
+from .blocks import FeedForward, positional_encoding, sdp_attention, tag_tokens
 from .errors import BoundsError, DataError, DimensionError
 from .tensor import ParameterStore, Tensor
 
@@ -167,7 +167,7 @@ class MelodyModel:
         d = self.width
         h = tt.gather(self.phoneme_emb, ids)
         h = tt.add(h, positional_encoding(n, d))
-        z_p = tt.reshape(tt.gather(self.tag_emb, tags), tags.shape + (MELODY_TAG_TOKENS, d))
+        z_p = tag_tokens(self.tag_emb, tags, MELODY_TAG_TOKENS)
         for layer in self._layers:
             hn = tt.rmsnorm(h, layer["gain1"])
             h = tt.add(h, sdp_attention(tt.matmul(hn, layer["wq"]),

@@ -157,7 +157,9 @@ def key_correlation(notes: NoteSequence, key):
 
 
 def best_key(notes: NoteSequence):
-    """Most correlated of the 24 keys; a tie goes to the larger (tonic, mode).
+    """(correlation, key) of the most correlated of the 24 keys; a tie goes
+    to the larger (tonic, mode), and the score is bitwise
+    key_correlation(notes, key).
 
     The song's histogram is built and centred once; each key then costs one
     2x12 product, whose score is bitwise np.corrcoef's (see _key_scores).
@@ -165,29 +167,10 @@ def best_key(notes: NoteSequence):
     of a histogram can tie exactly, and the winner of a tie must not depend
     on how the sums were rounded.
     """
-    return _scored_best_key(notes)[1]
-
-
-def _scored_best_key(notes):
-    """(correlation, key) of best_key: the winner's score is bitwise
-    key_correlation(notes, key)."""
     hist = _checked_histogram(notes)
     table = _default_table()
     keys = table._centred.keys()
     return max(zip(_key_scores(hist, table, keys), keys))
-
-
-def key_accuracy(gen: NoteSequence, gt: NoteSequence, gt_key):
-    """Ratio of the generated correlation to the ground-truth correlation."""
-    return _key_ratio(gen, key_correlation(gt, gt_key), gt_key)
-
-
-def _key_ratio(gen, r, gt_key):
-    """key_accuracy given the ground truth's correlation r with gt_key."""
-    if r == 0:
-        raise InvalidMetric("ground-truth key correlation is zero")
-    r_hat = key_correlation(gen, gt_key)
-    return r_hat / r
 
 
 def apd_td(gen: NoteSequence, gt: NoteSequence):
@@ -363,22 +346,15 @@ def f0_frame_error(gen, gt):
     return float((voicing_err | pitch_err).mean())
 
 
-def evaluate_pair(gen: NoteSequence, gt: NoteSequence, gt_key=None):
-    """Single-pair MelodyReport; gt_key defaults to the estimated key of gt,
-    whose score from that search is gt's correlation in the key accuracy."""
-    terms, grids = _report_terms(gen, gt, gt_key)
-    return MelodyReport(*terms, MD=dtw_distance(*grids))
-
-
 def evaluate_pairs(pairs):
-    """evaluate_pair's reports for (gen, gt, gt_key, label) tuples, in order,
+    """The MelodyReport of each (gen, gt, gt_key, label) tuple, in order,
     leaving out each pair whose metrics are undefined (InvalidMetric).
 
-    Pairs are taken and scored one at a time, so the first error is the one
-    a loop over evaluate_pair would raise; a DataError from scoring is
-    re-raised as "label: message" unless the label is None.  Only the DTWs
-    wait: every MD comes from one dtw_distances call, bitwise
-    evaluate_pair's.
+    A gt_key of None stands for the key best_key finds for gt, and the score
+    of that search is gt's correlation in KA.  Pairs are scored one at a
+    time, so the first error is the first bad pair's; a DataError from
+    scoring is re-raised as "label: message" unless the label is None.  Only
+    the DTWs wait: every MD comes from one dtw_distances call.
     """
     kept, grids = [], []
     for gen, gt, gt_key, label in pairs:
@@ -396,13 +372,15 @@ def evaluate_pairs(pairs):
 
 
 def _report_terms(gen, gt, gt_key):
-    """evaluate_pair's KA, APD, TD, PD and DD, and the two series MD is the
-    DTW of, computed in evaluate_pair's order."""
+    """One pair's KA, APD, TD, PD and DD, and the two series MD is the DTW
+    of.  KA is the ratio of gen's correlation with gt's key to gt's own."""
     if gt_key is None:
-        r, gt_key = _scored_best_key(gt)
+        r, gt_key = best_key(gt)
     else:
         r = key_correlation(gt, gt_key)
-    ka = _key_ratio(gen, r, gt_key)
+    if r == 0:
+        raise InvalidMetric("ground-truth key correlation is zero")
+    ka = key_correlation(gen, gt_key) / r
     apd, td = apd_td(gen, gt)
     pd_val, dd_val = dist_similarity(gen, gt)
     return (ka, apd, td, pd_val, dd_val), _centred_grids(gen, gt)

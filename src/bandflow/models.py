@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as tt
-from .blocks import BandBlock, global_style, style_alignment_stack
+from .blocks import BandBlock, global_style, style_alignment_stack, tag_tokens
 from .errors import DimensionError
 from .flow import TimeEmbedding, WaveNetEstimator
 from .moe import BandMoE, PlainBandFFN, RouterState
@@ -45,7 +45,6 @@ class AccompFlowModel:
 
     def __init__(self, rng, n_tags, data_dim=16, width=64, heads=4, blocks=2, experts=4):
         self.n_tags = n_tags
-        self.width = width
         self.params = ParameterStore()
         p = self.params
         self.time = TimeEmbedding(width, rng, p, prefix="accomp.time")
@@ -64,14 +63,6 @@ class AccompFlowModel:
             self.blocks.append(BandBlock(width, heads, rng, p, f"accomp.b{i}", moe=moe))
         self.w_out = p.add("accomp.w_out", np.zeros((width, data_dim)))
         self.state = RouterState()
-
-    def tag_tokens_for(self, tag):
-        """Prompt tokens [ACCOMP_TAG_TOKENS, width] for a tag id, where
-        n_tags selects the null condition row; [B, ACCOMP_TAG_TOKENS, width]
-        for an array of B tag ids."""
-        idx = np.asarray(tag, dtype=np.int64)
-        rows = tt.gather(self.tag_emb, idx.reshape(-1))
-        return tt.reshape(rows, idx.shape + (ACCOMP_TAG_TOKENS, self.width))
 
     def __call__(self, xt, t, cond):
         v, tag = cond
@@ -97,7 +88,7 @@ class AccompFlowModel:
 
     def _forward(self, x, temb, v, tag):
         z_v = tt.matmul(v, self.w_v)
-        z_p = self.tag_tokens_for(tag)
+        z_p = tag_tokens(self.tag_emb, tag, ACCOMP_TAG_TOKENS)
         z_g = global_style(z_p, z_v, temb)
         h = tt.add(tt.matmul(x, self.w_in), z_v)
         ctx = {"z_v": z_v, "z_p": z_p, "time_vec": temb, "state": self.state}
@@ -159,8 +150,7 @@ class StylePredictorModel:
                                  f"vocal flags, got {ids.shape}, {tags.shape}, {vocal.shape}")
         z_ct = tt.gather(self.phoneme_emb, ids)
         z_ct = tt.add(z_ct, tt.gather(self.vocal_emb, vocal[:, None]))
-        z_p = tt.reshape(tt.gather(self.tag_emb, tags),
-                         tags.shape + (STYLE_TAG_TOKENS, STYLE_EMBED))
+        z_p = tag_tokens(self.tag_emb, tags, STYLE_TAG_TOKENS)
         fused = style_alignment_stack(z_ct, z_p, STYLE_ALIGN_LAYERS)   # [B, P, 2*embed]
         return tt.swapaxes(fused, -1, -2)                              # [B, 2*embed, P]
 

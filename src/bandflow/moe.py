@@ -47,11 +47,11 @@ class RouterState:
             raise ConfigError(f"unknown router mode {self.mode!r}")
 
 
-def gumbel_gate(logits, tau, rng=None, mode="dense"):
+def gumbel_gate(logits, tau, rng, mode):
     """Per-row gate weights over experts from routing logits [..., N].
 
     Dense mode: softmax((logits + gumbel_noise) / tau), differentiable; the
-    noise is drawn from `rng`, and with no `rng` the gate is
+    noise is drawn from `rng`, and with `rng` None the gate is
     softmax(logits / tau).
     Hard mode: noise-free one-hot argmax of the logits.
     """
@@ -75,8 +75,8 @@ def gate_entropy(gates):
     return float(-(g * np.log(g)).sum(axis=-1).mean())
 
 
-def balance_loss(gates, alpha=BALANCE_ALPHA, form="switch"):
-    """Load-balancing regularizer over dense gates [n, N].
+def balance_loss(gates, form="switch"):
+    """Load-balancing regularizer over dense gates [n, N]; alpha is BALANCE_ALPHA.
 
     "switch": alpha * N * sum_i f_i * P_i with f_i the argmax-traffic
     fraction (constant) and P_i the mean dense gate.  "literal": alpha * N *
@@ -88,12 +88,12 @@ def balance_loss(gates, alpha=BALANCE_ALPHA, form="switch"):
     n, num = gates.shape
     mean_gate = tt.mean(gates, axis=0)          # [N]
     if form == "literal":
-        return tt.mul(tt.sum_(mean_gate), alpha * num)
+        return tt.mul(tt.sum_(mean_gate), BALANCE_ALPHA * num)
     if form != "switch":
         raise ConfigError(f"unknown balance-loss form {form!r}")
     choices = gates.data.argmax(axis=1)
     frac = np.bincount(choices, minlength=num) / n
-    return tt.mul(tt.sum_(tt.mul(mean_gate, frac)), alpha * num)
+    return tt.mul(tt.sum_(tt.mul(mean_gate, frac)), BALANCE_ALPHA * num)
 
 
 def _token_column(i):
@@ -161,7 +161,7 @@ class BandMoE:
         """Blend the two token-routed outputs by the [1, d] time row; the
         global gate stays dense."""
         logits = tt.matmul(time_vec, self.w_global)
-        gates = gumbel_gate(logits, state.tau, state.rng, mode="dense")
+        gates = gumbel_gate(logits, state.tau, state.rng, "dense")
         self.last_gates["global"] = gates
         return tt.gated_sum([o_aligned, o_controlled], gates, _token_column)
 
@@ -220,6 +220,6 @@ class PlainBandFFN:
         m = self.moe
         o_a = m.aligned[0](h)
         o_c = m.controlled[0](h)
-        gates = gumbel_gate(tt.matmul(time_vec, m.w_global), state.tau, state.rng, mode="dense")
+        gates = gumbel_gate(tt.matmul(time_vec, m.w_global), state.tau, state.rng, "dense")
         o = tt.add(tt.mul(o_a, gates[0:1, 0:1]), tt.mul(o_c, gates[0:1, 1:2]))
         return m.acoustic[0](o)

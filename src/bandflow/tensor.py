@@ -633,14 +633,14 @@ def adaln(h, scale, shift):
 # ---------------------------------------------------------------------------
 # convolution
 
-def conv1d(x, kernels, dilation=1, bias=None):
+def conv1d(x, kernels, bias, dilation=1):
     """Centered (non-causal) dilated 1-D convolution, length-preserving.
 
-    x: [..., c_in, T], kernels: [c_out, c_in, W] with odd W, bias: [c_out]
-    or None.  Each tap is one product stacked over the leading axes, so
-    every row's bits are those of its own [c_in, T] call.
+    x: [..., c_in, T], kernels: [c_out, c_in, W] with odd W, bias: [c_out].
+    Each tap is one product stacked over the leading axes, so every row's
+    bits are those of its own [c_in, T] call.
     """
-    x, w = _as_tensor(x), _as_tensor(kernels)
+    x, w, b = _as_tensor(x), _as_tensor(kernels), _as_tensor(bias)
     if x.ndim < 2 or w.ndim != 3:
         raise DimensionError(
             f"conv1d expects x[..., c, T] and kernels[o, c, W], got {x.shape}, {w.shape}")
@@ -649,6 +649,8 @@ def conv1d(x, kernels, dilation=1, bias=None):
         raise ConfigError(f"conv1d kernel width must be odd, got {width}")
     if x.shape[-2] != c_in:
         raise DimensionError(f"conv1d channel mismatch: x has {x.shape[-2]}, kernels expect {c_in}")
+    if b.shape != (c_out,):
+        raise DimensionError(f"bias shape {b.shape} != ({c_out},)")
     dilation = int(dilation)
     if dilation < 1:
         raise ConfigError(f"dilation must be >= 1, got {dilation}")
@@ -659,6 +661,7 @@ def conv1d(x, kernels, dilation=1, bias=None):
     out = np.zeros(x.shape[:-2] + (c_out, T))
     for k, tap in enumerate(taps):
         out += w.data[:, :, k] @ tap
+    out += b.data[:, None]
 
     def grad_x(g):
         gp = np.zeros_like(xp)
@@ -672,14 +675,8 @@ def conv1d(x, kernels, dilation=1, bias=None):
             gw[:, :, k] = _unbroadcast(g @ np.swapaxes(tap, -1, -2), (c_out, c_in))
         return gw
 
-    pairs = [(x, grad_x), (w, grad_w)]
-    if bias is not None:
-        b = _as_tensor(bias)
-        if b.shape != (c_out,):
-            raise DimensionError(f"bias shape {b.shape} != ({c_out},)")
-        out = out + b.data[:, None]
-        pairs.append((b, lambda g: _unbroadcast(g.sum(axis=-1), b.shape)))
-    return _make(out, pairs)
+    return _make(out, [(x, grad_x), (w, grad_w),
+                       (b, lambda g: _unbroadcast(g.sum(axis=-1), b.shape))])
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,13 @@ from bandflow.errors import DataError
 from bandflow.tensor import ParameterStore
 
 
+def _store(**arrays):
+    store = ParameterStore()
+    for name, value in arrays.items():
+        store.add(name, value)
+    return store
+
+
 def test_round_trip_value_exact_f32(tmp_path):
     rng = np.random.default_rng(0)
     store = ParameterStore()
@@ -26,7 +33,7 @@ def test_round_trip_value_exact_f32(tmp_path):
 
 def test_magic_and_version(tmp_path):
     path = tmp_path / "x.vbnd"
-    save_checkpoint({"a": np.zeros(2)}, path)
+    save_checkpoint(_store(a=np.zeros(2)), path)
     assert path.read_bytes()[:4] == b"VBND"
     bad = tmp_path / "bad.vbnd"
     bad.write_bytes(b"NOPE" + b"\x00" * 8)
@@ -36,7 +43,7 @@ def test_magic_and_version(tmp_path):
 
 def test_load_into_shape_mismatch(tmp_path):
     path = tmp_path / "m.vbnd"
-    save_checkpoint({"w": np.zeros((2, 2))}, path)
+    save_checkpoint(_store(w=np.zeros((2, 2))), path)
     store = ParameterStore()
     store.add("w", np.zeros((3, 3)))
     with pytest.raises(DataError):
@@ -44,22 +51,27 @@ def test_load_into_shape_mismatch(tmp_path):
 
 
 def test_save_twice_identical_bytes(tmp_path):
-    arrs = {"a": np.arange(6.0).reshape(2, 3), "b": np.ones(4)}
+    arrs = _store(a=np.arange(6.0).reshape(2, 3), b=np.ones(4))
     p1, p2 = tmp_path / "1.vbnd", tmp_path / "2.vbnd"
     save_checkpoint(arrs, p1)
     save_checkpoint(arrs, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def _valid_blob(tmp_path):
-    path = tmp_path / "valid.vbnd"
-    save_checkpoint({"layer.w": np.arange(6.0).reshape(2, 3), "scalar": np.ones(()),
-                     "empty": np.zeros((0, 2))}, path)
-    return path.read_bytes()
+def _valid_blob():
+    """A VBND file built by hand, since a store cannot hold its rank-0
+    tensor (Tensor makes 0-d data shape (1,))."""
+    tensors = [("empty", np.zeros((0, 2))), ("layer.w", np.arange(6.0).reshape(2, 3)),
+               ("scalar", np.ones(()))]
+    blob = b"VBND" + struct.pack("<II", 1, len(tensors))
+    for name, arr in tensors:
+        blob += struct.pack("<H", len(name)) + name.encode()
+        blob += struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape) + arr.astype("<f4").tobytes()
+    return blob
 
 
 def test_every_truncation_raises_data_error(tmp_path):
-    blob = _valid_blob(tmp_path)
+    blob = _valid_blob()
     path = tmp_path / "cut.vbnd"
     for n in range(len(blob)):
         path.write_bytes(blob[:n])
@@ -69,7 +81,7 @@ def test_every_truncation_raises_data_error(tmp_path):
 
 def test_short_payload_names_tensor(tmp_path):
     path = tmp_path / "cut.vbnd"
-    path.write_bytes(_valid_blob(tmp_path)[:-3])
+    path.write_bytes(_valid_blob()[:-3])
     with pytest.raises(DataError, match="payload of 'scalar'"):
         load_checkpoint(path)
 
@@ -91,7 +103,7 @@ _FUZZ = settings(max_examples=200, deadline=None,
 @given(st.binary(min_size=1, max_size=64))
 def test_appended_bytes_raise_data_error(tmp_path, tail):
     path = tmp_path / "long.vbnd"
-    path.write_bytes(_valid_blob(tmp_path) + tail)
+    path.write_bytes(_valid_blob() + tail)
     with pytest.raises(DataError, match="trailing bytes"):
         load_checkpoint(path)
 
@@ -99,7 +111,7 @@ def test_appended_bytes_raise_data_error(tmp_path, tail):
 @_FUZZ
 @given(st.lists(st.tuples(st.integers(0, 10_000), st.integers(0, 255)), max_size=4))
 def test_corrupted_bytes_raise_only_data_error(tmp_path, edits):
-    blob = bytearray(_valid_blob(tmp_path))
+    blob = bytearray(_valid_blob())
     for pos, value in edits:
         blob[pos % len(blob)] = value
     path = tmp_path / "edited.vbnd"

@@ -219,6 +219,24 @@ class TestRanges:
         assert code == 1
         assert err == "usage error: --n must be >= 1, got 0\n"
 
+    # counts numpy refuses before it allocates anything: 10**20 exceeds its
+    # largest dimension, and 10**13 samples (146 TiB) the x86-64 address space
+    @pytest.mark.parametrize("argv,n,message", [
+        (["gen-data", "--task", "flow2d"], 10**20, "cannot hold {n} points in one array"),
+        (["sample"], 10**20, "cannot hold {n} points in one array"),
+        (["sample"], 10**13, "not enough memory for {n} points"),
+    ])
+    def test_oversize_count_exits_two(self, tmp_path, capsys, argv, n, message):
+        if argv == ["sample"]:
+            ck = tmp_path / "f.vbnd"
+            save_checkpoint(MLPEstimator(2, 64, np.random.default_rng(0)).params, ck)
+            argv = argv + ["--ckpt", str(ck)]
+        out = tmp_path / "out"
+        code, stdout, err = run(argv + ["--n", str(n), "--out", str(out)], capsys)
+        assert (code, stdout) == (2, "")
+        assert err == f"error: {message.format(n=n)}\n"
+        assert not out.exists()
+
     def test_gradcheck_zero_trials_exits_one(self, capsys):
         code, stdout, err = run(["gradcheck", "--trials", "0"], capsys)
         assert code == 1
@@ -430,6 +448,19 @@ class TestTrainAndSample:
             assert lines[1].startswith("mean report: KA=")
         else:
             assert len(lines) == 1
+
+    # train --model melody's report, which scores each held-out song in its
+    # given key (eval-melody searches the reference's key instead)
+    MELODY_GOLDEN = ["held-out pitch accuracy: 0.3156",
+                     "mean report: KA=0.3142, APD=1.8781, TD=2.7324, PD=0.4313, DD=0.1437, "
+                     "MD=90.6386"]
+
+    def test_melody_report_golden_stdout(self, tmp_path, capsys):
+        ck = tmp_path / "m.vbnd"
+        code, out, err = run(["train", "--model", "melody", "--steps", "30",
+                              "--out", str(ck)], capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == self.MELODY_GOLDEN + [f"checkpoint: {ck}"]
 
     def test_sample_missing_checkpoint_exits_two(self, tmp_path, capsys):
         code, _, err = run(["sample", "--ckpt", str(tmp_path / "none.vbnd")], capsys)

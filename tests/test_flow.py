@@ -144,7 +144,7 @@ def test_mlp_estimator_matches_its_layer_loop_bitwise(shape, t):
         times = rng.uniform(size=shape[0]) if t == "rows" else t
         w = rng.standard_normal(shape)
         with Tape():
-            out = forward(est, x, times)
+            out = forward(est, x, times, None)
             backward(tt.sum_(tt.mul(out, w)))
         arrays = [out.data, x.grad] + [p.grad for _, p in est.params.items()]
         results.append([(a.shape, a.tobytes()) for a in arrays])
@@ -238,7 +238,7 @@ class TestCfgField:
 class TestWaveNet:
     def test_zero_field_at_init(self):
         rng = np.random.default_rng(0)
-        est = WaveNetEstimator(2, 3, rng)
+        est = WaveNetEstimator(2, 3, rng, residual_channels=32, layers=4)
         out = est(Tensor(rng.standard_normal((2, 10))), 0.3,
                   Tensor(rng.standard_normal((3, 10))))
         np.testing.assert_array_equal(out.data, np.zeros((2, 10)))
@@ -253,7 +253,7 @@ class TestWaveNet:
 
     def test_condition_length_mismatch(self):
         rng = np.random.default_rng(2)
-        est = WaveNetEstimator(2, 2, rng)
+        est = WaveNetEstimator(2, 2, rng, residual_channels=32, layers=4)
         with pytest.raises(DimensionError):
             est(Tensor(np.zeros((2, 8))), 0.1, Tensor(np.zeros((2, 9))))
 

@@ -97,12 +97,12 @@ CASES = {
                                 ConfigError, "at least one expert"),
     "route_aligned_token_count": (_route_aligned_token_mismatch, DimensionError,
                                   "token counts differ"),
-    "conv1d_rank": (lambda: tt.conv1d(_z(4), _z(1, 2, 3)), DimensionError,
+    "conv1d_rank": (lambda: tt.conv1d(_z(4), _z(1, 2, 3), bias=_z(1)), DimensionError,
                     "conv1d expects"),
-    "conv1d_channels": (lambda: tt.conv1d(_z(2, 5), _z(1, 3, 3)), DimensionError,
+    "conv1d_channels": (lambda: tt.conv1d(_z(2, 5), _z(1, 3, 3), bias=_z(1)), DimensionError,
                         "channel mismatch"),
-    "conv1d_dilation": (lambda: tt.conv1d(_z(2, 5), _z(1, 2, 3), dilation=0), ConfigError,
-                        "dilation"),
+    "conv1d_dilation": (lambda: tt.conv1d(_z(2, 5), _z(1, 2, 3), bias=_z(1), dilation=0),
+                        ConfigError, "dilation"),
     "conv1d_bias": (lambda: tt.conv1d(_z(2, 5), _z(1, 2, 3), bias=_z(2)), DimensionError,
                     "bias shape"),
     "cross_entropy_rank": (lambda: tt.cross_entropy(_z(2, 3, 4), [0, 1]), DimensionError,
@@ -133,7 +133,7 @@ CASES = {
                                ConfigError, "even width"),
     "layernorm_zero_axis": (lambda: tt.layernorm(_z(2, 0)), DimensionError, "zero-length"),
     "merge_duplicate_name": (_merge_duplicate, StateError, "duplicate parameter name 'w'"),
-    "gumbel_gate_mode": (lambda: gumbel_gate(_z(2, 3), 1.0, mode="x"), ConfigError,
+    "gumbel_gate_mode": (lambda: gumbel_gate(_z(2, 3), 1.0, None, mode="x"), ConfigError,
                          "unknown router mode"),
     "attention_zero_keys": (lambda: style_alignment_stack(_z(3, 4), _z(0, 4), layers=1),
                             DimensionError, "zero keys"),

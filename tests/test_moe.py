@@ -4,7 +4,6 @@ import pytest
 import bandflow.tensor as tt
 from bandflow.errors import ConfigError
 from bandflow.moe import (
-    BALANCE_ALPHA,
     TAU_HIGH,
     TAU_LOW,
     BandMoE,
@@ -28,19 +27,20 @@ class TestGumbelGate:
 
     def test_rows_normalized_hard(self):
         rng = np.random.default_rng(1)
-        gates = gumbel_gate(Tensor(rng.standard_normal((50, 4))), tau=0.7, mode="hard")
+        gates = gumbel_gate(Tensor(rng.standard_normal((50, 4))), tau=0.7, rng=None,
+                            mode="hard")
         np.testing.assert_allclose(gates.data.sum(axis=1), 1.0, atol=1e-12)
 
     def test_hard_is_argmax(self):
         rng = np.random.default_rng(2)
         logits = rng.standard_normal((1000, 5))
-        gates = gumbel_gate(Tensor(logits), tau=1.0, mode="hard").data
+        gates = gumbel_gate(Tensor(logits), tau=1.0, rng=None, mode="hard").data
         np.testing.assert_array_equal(gates.argmax(axis=1), logits.argmax(axis=1))
         assert set(np.unique(gates)) <= {0.0, 1.0}
 
     def test_noise_free_dense_is_tempered_softmax(self):
         logits = Tensor([[1.0, 2.0, 3.0]])
-        gates = gumbel_gate(logits, tau=0.5, mode="dense").data
+        gates = gumbel_gate(logits, tau=0.5, rng=None, mode="dense").data
         expect = np.exp(np.array([1.0, 2.0, 3.0]) / 0.5)
         expect /= expect.sum()
         np.testing.assert_allclose(gates[0], expect, atol=1e-12)
@@ -56,7 +56,7 @@ class TestGumbelGate:
 
     def test_nonpositive_temperature_rejected(self):
         with pytest.raises(ConfigError):
-            gumbel_gate(Tensor(np.zeros((1, 2))), tau=0.0)
+            gumbel_gate(Tensor(np.zeros((1, 2))), tau=0.0, rng=None, mode="dense")
 
     def test_tau_schedule_endpoints(self):
         assert tau_schedule(0.0) == TAU_HIGH
@@ -69,14 +69,14 @@ class TestBalanceLoss:
         n, num = 12, 4
         gates = Tensor(np.full((n, num), 1.0 / num))
         # argmax ties resolve to expert 0, so f = (1,0,0,0) and P_i = 1/N
-        val = balance_loss(gates, alpha=0.1, form="switch").item()
+        val = balance_loss(gates, form="switch").item()
         assert val == pytest.approx(0.1 * num * (1.0 / num))
 
     def test_concentrated_gates_switch(self):
         n, num = 10, 4
         g = np.zeros((n, num))
         g[:, 2] = 1.0
-        val = balance_loss(Tensor(g), alpha=0.1, form="switch").item()
+        val = balance_loss(Tensor(g), form="switch").item()
         assert val == pytest.approx(0.1 * num)
 
     def test_literal_form_is_constant(self):
@@ -84,7 +84,7 @@ class TestBalanceLoss:
         for _ in range(5):
             logits = Tensor(rng.standard_normal((8, 3)))
             gates = gumbel_gate(logits, tau=1.0, rng=rng, mode="dense")
-            val = balance_loss(gates, alpha=0.1, form="literal").item()
+            val = balance_loss(gates, form="literal").item()
             assert val == pytest.approx(0.1 * 3, abs=1e-10)
 
     def test_switch_minimized_by_even_assignment(self):
@@ -98,7 +98,7 @@ class TestBalanceLoss:
                 assign = [(code // num ** i) % num for i in range(n)]
                 g = np.zeros((n, num))
                 g[np.arange(n), assign] = 1.0
-                val = balance_loss(Tensor(g), alpha=0.1, form="switch").item()
+                val = balance_loss(Tensor(g), form="switch").item()
                 best = val if best is None else min(best, val)
                 counts = np.bincount(assign, minlength=num)
                 if (counts == 2).all() and even_val is None:
@@ -229,7 +229,7 @@ class TestBalanceIntegration:
             time_vec=Tensor(rng.standard_normal((1, 4))), state=state)
         total = moe.balance().item()
         parts = sum(
-            balance_loss(moe.last_gates[g], BALANCE_ALPHA, "switch").item()
+            balance_loss(moe.last_gates[g], "switch").item()
             for g in ("aligned", "controlled", "acoustic"))
         assert total == pytest.approx(parts)
 
@@ -330,7 +330,8 @@ class TestFusedPathsMatchTheirChains:
         logits[4] = -0.0
         w = rng.standard_normal((6, 4))
         results = []
-        for gate in (lambda x: gumbel_gate(x, 0.7, rng=None), lambda x: _zero_noise_gate(x, 0.7)):
+        for gate in (lambda x: gumbel_gate(x, 0.7, None, "dense"),
+                     lambda x: _zero_noise_gate(x, 0.7)):
             x = Tensor(logits.copy(), requires_grad=True)
             with Tape():
                 out = gate(x)

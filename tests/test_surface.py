@@ -27,7 +27,7 @@ import bandflow.cli as cli
 from bandflow import blocks, gradcheck, metrics
 from bandflow.synth import FLOW2D_MIN_POINTS
 
-MAX_SETTABLE = 69
+MAX_SETTABLE = 61
 
 
 def _is_dataclass(cls):
@@ -116,9 +116,6 @@ UNREACHED = {
     # the one-pair metrics go once perfbench moves off them (ROADMAP item 1)
     "metrics.melody_distance": "one-pair metric: perfbench's tests call it",
     "metrics.dtw_distance": "one-pair metric: perfbench's tests call it",
-    "metrics.best_key": "one-pair metric: the key-score oracles call it",
-    "metrics.key_accuracy": "one-pair metric: the report oracles call it",
-    "metrics.evaluate_pair": "one-pair metric: the report oracles call it",
     "tensor.Tensor.__repr__": "debugging aid",
     "tensor.ParameterStore.__getitem__": "tests read parameters by name",
 }

@@ -152,24 +152,25 @@ class TestNorms:
 class TestConv1d:
     def test_identity_kernel(self):
         x = np.random.default_rng(0).standard_normal((1, 7))
-        out = tt.conv1d(Tensor(x), Tensor([[[0.0, 1.0, 0.0]]]))
+        out = tt.conv1d(Tensor(x), Tensor([[[0.0, 1.0, 0.0]]]), bias=np.zeros(1))
         np.testing.assert_allclose(out.data, x)
 
     def test_box_kernel_zero_padded(self):
-        out = tt.conv1d(Tensor([[1.0, 0.0, 0.0, 0.0]]), Tensor([[[1.0, 1.0, 1.0]]]))
+        out = tt.conv1d(Tensor([[1.0, 0.0, 0.0, 0.0]]), Tensor([[[1.0, 1.0, 1.0]]]),
+                        bias=np.zeros(1))
         np.testing.assert_allclose(out.data, [[1.0, 1.0, 0.0, 0.0]])
 
     def test_dilation_taps(self):
         impulse = np.zeros((1, 9))
         impulse[0, 4] = 1.0
-        out = tt.conv1d(Tensor(impulse), Tensor([[[1.0, 0.0, 1.0]]]), dilation=2)
+        out = tt.conv1d(Tensor(impulse), Tensor([[[1.0, 0.0, 1.0]]]), bias=np.zeros(1), dilation=2)
         expect = np.zeros((1, 9))
         expect[0, 2] = expect[0, 6] = 1.0
         np.testing.assert_allclose(out.data, expect)
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigError):
-            tt.conv1d(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 1, 2))))
+            tt.conv1d(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 1, 2))), bias=np.zeros(1))
 
 
 class TestLosses:
