@@ -52,7 +52,7 @@ def _rope_tables(T, head_dim, heads):
     return _rope_angles(np.arange(T, dtype=np.float64), head_dim, heads)
 
 
-def rope_rotate(x, positions=None, heads=1):
+def rope_rotate(x, heads, positions=None):
     """Rotate consecutive coordinate pairs by position-dependent angles.
 
     x: [..., T, heads * head_dim] with even head_dim; each head's slice is
@@ -146,7 +146,7 @@ class GatedAttention:
         vz = self._split(tt.matmul(z_p, self.wvz))
         return tt.mul(sdp_attention(q, kz, vz), tt.tanh(self.alpha))
 
-    def __call__(self, h, z_p=None):
+    def __call__(self, h, z_p):
         q = self._query(h)
         k = self._split(rope_rotate(tt.matmul(h, self.wk), heads=self.heads))
         out = sdp_attention(q, k, self._split(tt.matmul(h, self.wv)))

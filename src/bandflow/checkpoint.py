@@ -40,8 +40,8 @@ def load_checkpoint(path) -> dict:
     """Read a checkpoint into a name -> float64 ndarray dict.
 
     A blob that is cut short, carries bytes past its last tensor, holds a
-    name that is not UTF-8 or extents numpy cannot represent raises
-    DataError.
+    name that is not UTF-8 or that repeats an earlier one, or extents numpy
+    cannot represent raises DataError.
     """
     with open(path, "rb") as f:
         blob = f.read()
@@ -72,6 +72,8 @@ def load_checkpoint(path) -> dict:
             name = blob[start:off].decode("utf-8")
         except UnicodeDecodeError:
             raise DataError(f"{path}: tensor name at byte {start} is not UTF-8") from None
+        if name in out:
+            raise DataError(f"{path}: tensor {name!r} at byte {start} repeats an earlier name")
         (rank,) = unpack("<B", f"rank of {name!r}")
         shape = unpack(f"<{rank}I", f"extents of {name!r}")
         n = math.prod(shape)

@@ -110,7 +110,7 @@ class Options:
             if key not in self._reads:
                 raise ConfigError(f"config key {key!r} not used by {user}")
 
-    def get(self, key, default, cast=str):
+    def get(self, key, default, cast):
         if key not in self._reads:
             raise KeyError(f"option {key!r} is read but not listed in READS/MODEL_READS")
         v = self._args.get(key)
@@ -236,16 +236,16 @@ def _cmd_train(args):
     steps = opt.at_least("steps", MODELS[args.model], 1)
     out = opt.get("out", f"{args.model}.vbnd", str)
     if args.model == "flow2d":
-        model, losses, _ = tr.train_flow2d(seed=seed, steps=steps)
+        model, losses = tr.train_flow2d(seed=seed, steps=steps)
     elif args.model == "style":
         warmup = opt.at_least("warmup", 0, 0)
-        model, losses, _ = tr.train_style_predictor(seed=seed, steps=steps,
-                                                    warmup_steps=warmup)
+        model, losses = tr.train_style_predictor(seed=seed, steps=steps,
+                                                 warmup_steps=warmup)
     elif args.model == "accomp":
         gamma = opt.get("gamma", 1.0, float)
         FlowConfig(cfg_scale=gamma)      # reject a bad --gamma before training, not after
         trace = opt.get("trace", False, bool)
-        model, losses, _, (_, held) = tr.train_accomp(seed=seed, steps=steps)
+        model, losses, (_, held) = tr.train_accomp(seed=seed, steps=steps)
     else:
         model, losses, (_, held) = tr.train_melody(seed=seed, steps=steps)
     save_checkpoint(model.params, out)
@@ -357,7 +357,7 @@ def _cmd_route_trace(args):
     opt = Options(args)
     seed = opt.at_least("seed", 0, 0)
     out = opt.get("out", "route.csv", str)
-    model, _, _, (_, held) = tr.train_accomp(seed=seed, steps=5)
+    model, _, (_, held) = tr.train_accomp(seed=seed, steps=5)
     rows = tr.route_trace_rows(model, held[0])
     tr.write_csv(out, tr.ROUTE_COLUMNS, rows)
     print(f"wrote routing trace to {out}")

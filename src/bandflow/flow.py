@@ -24,13 +24,10 @@ WAVENET_KERNEL = 3
 
 @dataclass
 class FlowConfig:
-    train_timesteps: int = 100
+    cfg_scale: float
     infer_steps: int = 25
-    cfg_scale: float = 3.0
 
     def __post_init__(self):
-        if self.train_timesteps < 1:
-            raise ConfigError("train_timesteps must be >= 1")
         if self.infer_steps < 1:
             raise ConfigError("infer_steps must be >= 1")
         if not (np.isfinite(self.cfg_scale) and self.cfg_scale >= 0.0):
@@ -55,11 +52,11 @@ class FlowSample:
         self.u = self.x1 - self.x0
 
 
-def make_flow_sample(x1, rng, cfg: FlowConfig) -> FlowSample:
-    """Draw one training point on the straight noise-to-data path."""
+def make_flow_sample(x1, rng, timesteps) -> FlowSample:
+    """One training point on the straight path, at time k / timesteps for a random k."""
     x1 = np.asarray(x1, dtype=np.float64)
     x0 = rng.standard_normal(x1.shape)
-    t = float(rng.integers(cfg.train_timesteps)) / cfg.train_timesteps
+    t = float(rng.integers(timesteps)) / timesteps
     return FlowSample(x0=x0, x1=x1, t=t)
 
 

@@ -130,7 +130,7 @@ def _cases(rng):
         "cross_entropy": (lambda a: tt.cross_entropy(a, targets), [_t(rng, rows, classes)]),
         "mse": (lambda a, b: tt.mse(a, b), [_t(rng, m, n), _t(rng, m, n)]),
         "gather": (lambda a: tt.gather(a, gidx), [_t(rng, m, n)]),
-        "rope_rotate": (lambda a: rope_rotate(a), [_t(rng, T, d2)]),
+        "rope_rotate": (lambda a: rope_rotate(a, 1), [_t(rng, T, d2)]),
         "rope_rotate_heads": (lambda a: rope_rotate(a, heads=heads), [_t(rng, T, heads * d2)]),
         "rope_rotate_pos": (lambda a: rope_rotate(a, positions=positions, heads=heads),
                             [_t(rng, T, heads * d2)]),
@@ -167,9 +167,9 @@ def _cases(rng):
     }
 
 
-def gradcheck_all(trials, seed=0):
-    """Worst relative error per op over `trials` randomized shapes."""
-    rng = np.random.default_rng(seed)
+def gradcheck_all(trials):
+    """Worst relative error per op over `trials` shapes drawn from seed 0."""
+    rng = np.random.default_rng(0)
     worst = {}
     for _ in range(trials):
         for name, (fn, inputs) in _cases(rng).items():

@@ -118,7 +118,7 @@ def melody_loss(logits, durations, targets):
 class MelodyModel:
     """Small transformer with cross-attention into style-tag tokens."""
 
-    def __init__(self, n_phonemes, n_tags, rng, n_pitches=128, width=64, layers=2):
+    def __init__(self, n_phonemes, n_tags, rng, width, layers, n_pitches=128):
         self.n_phonemes = n_phonemes
         self.n_tags = n_tags
         self.width = width

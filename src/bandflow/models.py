@@ -11,6 +11,7 @@ from .flow import TimeEmbedding, WaveNetEstimator
 from .moe import BandMoE, PlainBandFFN, RouterState
 from .tensor import ParameterStore, Tensor
 
+ACCOMP_HEADS = 4               # attention heads per block
 ACCOMP_TAG_TOKENS = 2          # prompt tokens per style tag
 STYLE_EMBED = 16               # style predictor: content and prompt token width
 STYLE_TAG_TOKENS = 4           # prompt tokens per style tag
@@ -43,7 +44,7 @@ class AccompFlowModel:
     the one-clip call's.
     """
 
-    def __init__(self, rng, n_tags, data_dim=16, width=64, heads=4, blocks=2, experts=4):
+    def __init__(self, rng, n_tags, data_dim=16, width=64, blocks=2, experts=4):
         self.n_tags = n_tags
         self.params = ParameterStore()
         p = self.params
@@ -60,7 +61,7 @@ class AccompFlowModel:
         for i in range(blocks):
             moe = BandMoE(width, experts, rng, p, f"accomp.b{i}.moe")
             self.moes.append(moe)
-            self.blocks.append(BandBlock(width, heads, rng, p, f"accomp.b{i}", moe=moe))
+            self.blocks.append(BandBlock(width, ACCOMP_HEADS, rng, p, f"accomp.b{i}", moe=moe))
         self.w_out = p.add("accomp.w_out", np.zeros((width, data_dim)))
         self.state = RouterState()
 

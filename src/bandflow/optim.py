@@ -21,14 +21,14 @@ class Adam:
         self._m = {name: np.zeros_like(p.data) for name, p in store.items()}
         self._v = {name: np.zeros_like(p.data) for name, p in store.items()}
 
-    def step(self, skip=None):
-        """Apply one update; `skip` is an optional predicate on names to freeze."""
+    def step(self, skip):
+        """Apply one update; `skip` is None or a predicate on names to freeze."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         for name, p in self.store.items():
-            if p.grad is None or (skip is not None and skip(name)):
+            if skip is not None and skip(name):
                 continue
             m = self._m[name]
             v = self._v[name]

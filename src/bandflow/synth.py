@@ -117,7 +117,7 @@ class StyleSample:
     x1: np.ndarray         # target style field [channels, P]
 
 
-def gen_style_toy(seed, n, n_tags=4, n_phonemes=8):
+def gen_style_toy(seed, n, n_tags, n_phonemes=8):
     """Phoneme-level style targets: a fixed random table per (tag, phoneme)."""
     rng = np.random.default_rng(seed)
     tables = rng.standard_normal((n_tags, n_phonemes, STYLE_TOY_CHANNELS))

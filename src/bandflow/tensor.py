@@ -89,8 +89,6 @@ class Tensor:
     def zero_grad(self):
         if self.grad is not None:
             self.grad[...] = 0.0
-        elif self.requires_grad:
-            self.grad = np.zeros_like(self.data)
 
     def accumulate(self, g):
         if self.grad is None:
@@ -429,25 +427,24 @@ def reshape(a, shape):
 
 
 def getitem(a, key):
+    """Basic indexing: ints, slices, Ellipsis and None.  An array or list
+    key is a DimensionError: `buf[key] += g` would drop the gradients of
+    repeated indices, and `gather` is the one row lookup."""
     a = _as_tensor(a)
-    out = a.data[key]
-    out = np.array(out, copy=True)
-
     parts = key if isinstance(key, tuple) else (key,)
-    fancy = any(isinstance(p, (np.ndarray, list)) for p in parts)
+    if any(isinstance(p, (np.ndarray, list)) for p in parts):
+        raise DimensionError("getitem takes basic keys only; use gather to select rows")
+    out = np.array(a.data[key], copy=True)
 
     def grad_fn(g):
         buf = np.zeros_like(a.data)
-        if fancy:
-            np.add.at(buf, key, g)
-        else:
-            buf[key] += g
+        buf[key] += g
         return buf
 
     return _make(out, [(a, grad_fn)])
 
 
-def concat(parts, axis=0):
+def concat(parts, axis):
     parts = [_as_tensor(p) for p in parts]
     out = np.concatenate([p.data for p in parts], axis=axis)
     offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
@@ -491,7 +488,7 @@ def mean(a, axis=None, keepdims=False):
 # ---------------------------------------------------------------------------
 # normalization and activation composites with bespoke gradients
 
-def softmax(a, axis=-1):
+def softmax(a, axis):
     a = _as_tensor(a)
     if not np.isfinite(a.data).all():
         raise NumericError("softmax input contains non-finite values")
@@ -633,7 +630,7 @@ def adaln(h, scale, shift):
 # ---------------------------------------------------------------------------
 # convolution
 
-def conv1d(x, kernels, bias, dilation=1):
+def conv1d(x, kernels, bias, dilation):
     """Centered (non-causal) dilated 1-D convolution, length-preserving.
 
     x: [..., c_in, T], kernels: [c_out, c_in, W] with odd W, bias: [c_out].
@@ -744,10 +741,7 @@ class ParameterStore:
     def add(self, name, value):
         if name in self._params:
             raise StateError(f"duplicate parameter name {name!r}")
-        t = _as_tensor(value)
-        t.requires_grad = True
-        if t.grad is None:
-            t.grad = np.zeros_like(t.data)
+        t = Tensor(value, requires_grad=True)
         self._params[name] = t
         return t
 
@@ -761,12 +755,8 @@ class ParameterStore:
         for name in self.names():
             yield name, self._params[name]
 
-    def tensors(self):
-        for _, t in self.items():
-            yield t
-
     def zero_grad(self):
-        for t in self.tensors():
+        for _, t in self.items():
             t.zero_grad()
 
     def merge(self, other):

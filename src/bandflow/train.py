@@ -29,16 +29,19 @@ ROUTE_TRACE_T = 0.5          # flow time of the routing-trace pass
 
 FLOW2D_DATA_N = 10000        # points in the 2-D mixture dataset
 FLOW2D_HIDDEN = 64           # hidden width of the 2-D flow's MLP estimator
+FLOW2D_TIMESTEPS = 100       # training-time grid of the 2-D flow
 
 STYLE_BATCH = 4
 STYLE_SAMPLES = 64           # style-toy dataset size
 STYLE_TAGS = 4
 STYLE_VOCAL_DROP = 0.2       # chance a sample trains with the vocal prompt dropped
 STYLE_TEXT_DROP = 0.1        # chance a sample trains with the null tag
+STYLE_TIMESTEPS = 100
 
 ACCOMP_PAIRS = 96            # accomp-toy dataset size
 ACCOMP_TAGS = 3              # style tags of the accomp-toy pairs
 ACCOMP_COND_DROP = 0.2       # chance a sample trains with the null tag
+ACCOMP_TIMESTEPS = 1000
 
 MELODY_SONGS = 120           # melody-grammar dataset size
 
@@ -88,7 +91,6 @@ def write_csv(path, header, rows):
 # 2-D mixture flow
 
 def train_flow2d(seed, steps, batch=256, lr=2e-3):
-    cfg = FlowConfig(train_timesteps=100, cfg_scale=1.0)
     data = gen_flow2d(seed, FLOW2D_DATA_N)
     rng = np.random.default_rng(seed + 1)
     est = MLPEstimator(2, FLOW2D_HIDDEN, rng)
@@ -97,15 +99,14 @@ def train_flow2d(seed, steps, batch=256, lr=2e-3):
         idx = rng.integers(len(data), size=batch)
         x1 = data[idx]
         x0 = rng.standard_normal((batch, 2))
-        t = rng.integers(cfg.train_timesteps, size=batch) / cfg.train_timesteps
+        t = rng.integers(FLOW2D_TIMESTEPS, size=batch) / FLOW2D_TIMESTEPS
         s = FlowSample(x0, x1, t[:, None])
         yield lambda: cfm_loss(est, s)
 
-    losses = fit(Adam(est.params, lr=lr), steps, draws)
-    return est, losses, cfg
+    return est, fit(Adam(est.params, lr=lr), steps, draws)
 
 
-def sample_flow2d(est, n, seed, trace=None):
+def sample_flow2d(est, n, seed, trace):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, 2))
     return euler_sample(est, x, None, FlowConfig(cfg_scale=1.0), trace=trace).data
@@ -115,7 +116,6 @@ def sample_flow2d(est, n, seed, trace=None):
 # style predictor
 
 def train_style_predictor(seed, steps, warmup_steps=0):
-    cfg = FlowConfig(train_timesteps=100)
     data = gen_style_toy(seed, STYLE_SAMPLES, n_tags=STYLE_TAGS)
     rng = np.random.default_rng(seed + 1)
     model = StylePredictorModel(rng, n_tags=STYLE_TAGS, n_phonemes=8,
@@ -128,7 +128,7 @@ def train_style_predictor(seed, steps, warmup_steps=0):
             s = data[int(rng.integers(len(data)))]
             tags.append(STYLE_TAGS if rng.uniform() < STYLE_TEXT_DROP else s.tag)
             vocal.append(rng.uniform() >= STYLE_VOCAL_DROP)
-            samples.append(make_flow_sample(s.x1, rng, cfg))
+            samples.append(make_flow_sample(s.x1, rng, STYLE_TIMESTEPS))
             phonemes.append(s.phonemes)
         sample = stack_flow_samples(samples)
         cond = (np.stack(phonemes), np.array(tags), np.array(vocal))
@@ -137,9 +137,8 @@ def train_style_predictor(seed, steps, warmup_steps=0):
     def frozen(name):
         return name.startswith("wavenet")
 
-    losses = fit(Adam(model.params, lr=3e-3), steps, draws,
-                 skip=lambda step: frozen if step < warmup_steps else None)
-    return model, losses, cfg
+    return model, fit(Adam(model.params, lr=3e-3), steps, draws,
+                      skip=lambda step: frozen if step < warmup_steps else None)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +147,6 @@ def train_style_predictor(seed, steps, warmup_steps=0):
 def train_accomp(seed, steps, batch=4, n_pairs=ACCOMP_PAIRS, n_tags=ACCOMP_TAGS,
                  T=64, data_dim=16, width=64, experts=4, blocks=2,
                  holdout=16):
-    cfg = FlowConfig(train_timesteps=1000)
     pairs = gen_toy_pairs(seed, n_pairs, n_tags, T=T, d=data_dim)
     train_pairs, held = pairs[:-holdout], pairs[-holdout:]
     rng = np.random.default_rng(seed + 1)
@@ -165,14 +163,13 @@ def train_accomp(seed, steps, batch=4, n_pairs=ACCOMP_PAIRS, n_tags=ACCOMP_TAGS,
         for _ in range(batch):
             pair = train_pairs[int(rng.integers(len(train_pairs)))]
             tag = n_tags if rng.uniform() < ACCOMP_COND_DROP else pair.tag
-            sample = make_flow_sample(pair.a, rng, cfg)
+            sample = make_flow_sample(pair.a, rng, ACCOMP_TIMESTEPS)
             yield functools.partial(loss_with_balance, sample, (pair.v, tag))
 
-    losses = fit(Adam(model.params, lr=2e-3), steps, draws)
-    return model, losses, cfg, (train_pairs, held)
+    return model, fit(Adam(model.params, lr=2e-3), steps, draws), (train_pairs, held)
 
 
-def eval_accomp(model, held_pairs, n_tags, seed=0, gamma=1.0, infer_steps=25):
+def eval_accomp(model, held_pairs, n_tags, seed, gamma, infer_steps=25):
     """Mean Pearson correlation of generated output with the tag-true target,
     and the per-clip correlations.
 

@@ -7,9 +7,7 @@ import time
 from functools import lru_cache
 
 import numpy as np
-import pytest
 
-import bandflow.tensor as tt
 from acceptance_helpers import flow2d_mode_stats, random_melody_baseline
 from bandflow.checkpoint import load_checkpoint, save_checkpoint
 from bandflow.flow import FlowConfig, cfg_field, euler_sample
@@ -25,7 +23,6 @@ from bandflow.moe import (
 )
 from bandflow.models import AccompFlowModel
 from bandflow.rq import RQCodebook, rq_encode
-from bandflow.synth import gen_melody_grammar
 from bandflow.tensor import ParameterStore, Tensor
 from bandflow.train import (
     eval_accomp,
@@ -44,7 +41,7 @@ def _verdict(num, name, ok, detail):
 
 def test_01_gradient_integrity():
     t0 = time.time()
-    worst = gradcheck_all(trials=20, seed=0)
+    worst = gradcheck_all(trials=20)
     elapsed = time.time() - t0
     worst_err = max(worst.values())
     ok = worst_err < 1e-4 and elapsed < 60.0
@@ -63,9 +60,9 @@ def test_02_flow_correctness():
         max_err = max(max_err, float(np.abs(out.data - x1).max()))
     # (b) trained 2-D mixture model
     t0 = time.time()
-    est, _, _ = train_flow2d(seed=0, steps=1500)
+    est, _ = train_flow2d(seed=0, steps=1500)
     elapsed = time.time() - t0
-    stats = flow2d_mode_stats(sample_flow2d(est, 2000, seed=1))
+    stats = flow2d_mode_stats(sample_flow2d(est, 2000, seed=1, trace=None))
     mean_err = max(float(np.abs(stats["mean_left"] - [-2.0, 0.0]).max()),
                    float(np.abs(stats["mean_right"] - [2.0, 0.0]).max()))
     weight_err = abs(stats["weight_left"] - 0.5)
@@ -198,12 +195,12 @@ def test_07_metric_oracles():
 
 def test_08_toy_accompaniment():
     t0 = time.time()
-    model, _, _, (_, held) = train_accomp(seed=0, steps=300)
+    model, _, (_, held) = train_accomp(seed=0, steps=300)
     corr, _ = eval_accomp(model, held, n_tags=3, seed=0, gamma=1.0)
     elapsed = time.time() - t0
     # single-expert reduction is bitwise identical to the plain composition
     small = AccompFlowModel(np.random.default_rng(0), n_tags=3, data_dim=8,
-                            width=16, heads=2, blocks=2, experts=1)
+                            width=16, blocks=2, experts=1)
     rng = np.random.default_rng(1)
     x = rng.standard_normal((12, 8))
     v = rng.standard_normal((12, 8))
@@ -237,7 +234,7 @@ def test_09_toy_melody():
 def test_10_determinism_and_serialization(tmp_path):
     p1, p2 = tmp_path / "a.vbnd", tmp_path / "b.vbnd"
     for p in (p1, p2):
-        est, _, _ = train_flow2d(seed=7, steps=80, batch=64)
+        est, _ = train_flow2d(seed=7, steps=80, batch=64)
         save_checkpoint(est.params, p)
     identical = p1.read_bytes() == p2.read_bytes()
     rng = np.random.default_rng(0)

@@ -95,7 +95,7 @@ def _rope_reference(x, positions):
 class TestRope:
     def test_matches_complex_rotation(self):
         x = np.random.default_rng(3).standard_normal((7, 6))
-        np.testing.assert_allclose(rope_rotate(Tensor(x)).data,
+        np.testing.assert_allclose(rope_rotate(Tensor(x), heads=1).data,
                                    _rope_reference(x, np.arange(7)), rtol=0, atol=1e-14)
 
     def test_heads_rotate_independently(self):
@@ -105,8 +105,8 @@ class TestRope:
         out = rope_rotate(Tensor(x), positions=pos, heads=3).data
         for h in range(3):
             sl = slice(4 * h, 4 * h + 4)
-            np.testing.assert_array_equal(out[:, sl],
-                                          rope_rotate(Tensor(x[:, sl]), positions=pos).data)
+            np.testing.assert_array_equal(
+                out[:, sl], rope_rotate(Tensor(x[:, sl]), positions=pos, heads=1).data)
 
     def test_leading_axes_share_the_tables(self):
         x = np.random.default_rng(6).standard_normal((3, 2, 5, 12))
@@ -143,13 +143,13 @@ class TestRope:
 
     def test_position_zero_identity(self):
         x = Tensor(np.random.default_rng(0).standard_normal((1, 8)))
-        out = rope_rotate(x, positions=[0])
+        out = rope_rotate(x, positions=[0], heads=1)
         np.testing.assert_allclose(out.data, x.data, atol=1e-15)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(1)
         x = Tensor(rng.standard_normal((6, 8)))
-        out = rope_rotate(x).data
+        out = rope_rotate(x, heads=1).data
         pairs_in = x.data.reshape(6, 4, 2)
         pairs_out = out.reshape(6, 4, 2)
         np.testing.assert_allclose(np.linalg.norm(pairs_out, axis=2),
@@ -160,14 +160,14 @@ class TestRope:
         q = rng.standard_normal(8)
         k = rng.standard_normal(8)
         for shift in (0, 3, 11):
-            base = rope_rotate(Tensor(np.stack([q, k])), positions=[2, 5]).data
+            base = rope_rotate(Tensor(np.stack([q, k])), positions=[2, 5], heads=1).data
             moved = rope_rotate(Tensor(np.stack([q, k])),
-                                positions=[2 + shift, 5 + shift]).data
+                                positions=[2 + shift, 5 + shift], heads=1).data
             assert abs(base[0] @ base[1] - moved[0] @ moved[1]) < 1e-10
 
     def test_odd_width_rejected(self):
         with pytest.raises(ConfigError):
-            rope_rotate(Tensor(np.zeros((2, 3))))
+            rope_rotate(Tensor(np.zeros((2, 3))), heads=1)
 
     def test_positional_encoding_bounded(self):
         pe = positional_encoding(50, 16)
@@ -315,7 +315,7 @@ class TestBandBlock:
         for _ in range(60):
             with Tape():
                 backward(loss_val())
-            opt.step()
+            opt.step(None)
             opt.zero_grad()
         assert loss_val().item() < 0.5 * init
 

@@ -86,6 +86,18 @@ def test_short_payload_names_tensor(tmp_path):
         load_checkpoint(path)
 
 
+def test_repeated_name_raises_data_error(tmp_path):
+    # a fourth tensor that repeats "layer.w", and a count of four
+    blob = _valid_blob()
+    name = b"layer.w"
+    path = tmp_path / "dup.vbnd"
+    path.write_bytes(b"VBND" + struct.pack("<II", 1, 4) + blob[12:]
+                     + struct.pack("<H", len(name)) + name
+                     + struct.pack("<B2I", 2, 2, 3) + np.ones(6, dtype="<f4").tobytes())
+    with pytest.raises(DataError, match=f"'layer.w' at byte {len(blob) + 2} repeats"):
+        load_checkpoint(path)
+
+
 def test_oversized_extents_with_a_zero_raise_data_error(tmp_path):
     # no payload bytes, but 2**93 elements before the zero: numpy rejects the shape
     path = tmp_path / "huge.vbnd"

@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -475,6 +476,23 @@ class TestTrainAndSample:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and err.startswith(f"error: {ck}: truncated payload")
+
+    def test_sample_checkpoint_with_a_repeated_name_exits_two(self, tmp_path, capsys):
+        ck = tmp_path / "dup.vbnd"
+        save_checkpoint(MLPEstimator(2, 64, np.random.default_rng(0)).params, ck)
+        blob = ck.read_bytes()
+        (count,) = struct.unpack_from("<I", blob, 8)
+        name = b"mlp.b0"
+        ck.write_bytes(blob[:8] + struct.pack("<I", count + 1) + blob[12:]
+                       + struct.pack("<H", len(name)) + name + struct.pack("<BI", 1, 64)
+                       + np.ones(64, dtype="<f4").tobytes())
+        out_csv = tmp_path / "s.csv"
+        code, out, err = run(["sample", "--ckpt", str(ck), "--n", "3", "--out", str(out_csv)],
+                             capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "'mlp.b0'" in err and "repeats" in err
+        assert not out_csv.exists()
 
 
 class TestEvalMelody:

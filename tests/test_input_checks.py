@@ -32,13 +32,13 @@ def _wavenet_wrong_channels():
 
 
 def _accomp_misaligned():
-    model = AccompFlowModel(_rng(), 2, data_dim=4, width=8, heads=2, blocks=1, experts=2)
+    model = AccompFlowModel(_rng(), 2, data_dim=4, width=8, blocks=1, experts=2)
     model(np.zeros((6, 4)), 0.5, (np.zeros((5, 4)), 0))
 
 
 def _accomp_and_clips():
     """A small accomp model and a two-clip batch: x [2, 6, 4], (vocals, tags)."""
-    model = AccompFlowModel(_rng(), 2, data_dim=4, width=8, heads=2, blocks=1, experts=2)
+    model = AccompFlowModel(_rng(), 2, data_dim=4, width=8, blocks=1, experts=2)
     return model, np.zeros((2, 6, 4)), (np.zeros((2, 6, 4)), np.array([0, 1]))
 
 
@@ -67,8 +67,6 @@ def _route_aligned_token_mismatch():
 
 # id -> (call, error, message pattern)
 CASES = {
-    "flow_config_train_timesteps": (lambda: FlowConfig(train_timesteps=0),
-                                    ConfigError, "train_timesteps"),
     "flow_config_cfg_scale": (lambda: FlowConfig(cfg_scale=-1), ConfigError, "cfg_scale"),
     "flow_config_cfg_scale_nan": (lambda: FlowConfig(cfg_scale=float("nan")), ConfigError,
                                   "cfg_scale must be finite"),
@@ -82,7 +80,7 @@ CASES = {
                                     t=np.full((2, 1), 0.5)), (np.zeros(1),)),
         DimensionError, "one condition entry per sample"),
     "wavenet_input_channels": (_wavenet_wrong_channels, DimensionError, r"expected \[3, T\]"),
-    "rope_positions_length": (lambda: rope_rotate(_z(4, 4), positions=np.arange(3)),
+    "rope_positions_length": (lambda: rope_rotate(_z(4, 4), positions=np.arange(3), heads=1),
                               DimensionError, "positions shape"),
     "gated_attention_odd_head_width": (
         lambda: GatedAttention(6, 2, _rng(), ParameterStore(), "g"),
@@ -97,14 +95,14 @@ CASES = {
                                 ConfigError, "at least one expert"),
     "route_aligned_token_count": (_route_aligned_token_mismatch, DimensionError,
                                   "token counts differ"),
-    "conv1d_rank": (lambda: tt.conv1d(_z(4), _z(1, 2, 3), bias=_z(1)), DimensionError,
-                    "conv1d expects"),
-    "conv1d_channels": (lambda: tt.conv1d(_z(2, 5), _z(1, 3, 3), bias=_z(1)), DimensionError,
-                        "channel mismatch"),
+    "conv1d_rank": (lambda: tt.conv1d(_z(4), _z(1, 2, 3), bias=_z(1), dilation=1),
+                    DimensionError, "conv1d expects"),
+    "conv1d_channels": (lambda: tt.conv1d(_z(2, 5), _z(1, 3, 3), bias=_z(1), dilation=1),
+                        DimensionError, "channel mismatch"),
     "conv1d_dilation": (lambda: tt.conv1d(_z(2, 5), _z(1, 2, 3), bias=_z(1), dilation=0),
                         ConfigError, "dilation"),
-    "conv1d_bias": (lambda: tt.conv1d(_z(2, 5), _z(1, 2, 3), bias=_z(2)), DimensionError,
-                    "bias shape"),
+    "conv1d_bias": (lambda: tt.conv1d(_z(2, 5), _z(1, 2, 3), bias=_z(2), dilation=1),
+                    DimensionError, "bias shape"),
     "cross_entropy_rank": (lambda: tt.cross_entropy(_z(2, 3, 4), [0, 1]), DimensionError,
                            r"logits\[N,K\]"),
     "cross_entropy_target_count": (lambda: tt.cross_entropy(_z(2, 3), [0, 1, 2]),

@@ -147,7 +147,7 @@ class TestMelodyModel:
             with Tape():
                 logits, dur = model.forward(phonemes[None], [0])
                 backward(melody_loss(logits, dur, [target]))
-            opt.step()
+            opt.step(None)
             opt.zero_grad()
         pred = model.predict(phonemes, 0, 120.0)
         assert pred.pitches == target.pitches

@@ -20,7 +20,7 @@ def _model(seed=0, experts=2, data_dim=8, width=16):
     """A small model with every parameter drawn at random, so that no
     zero-initialized branch hides a difference."""
     model = AccompFlowModel(np.random.default_rng(seed), N_TAGS, data_dim=data_dim,
-                            width=width, heads=2, blocks=2, experts=experts)
+                            width=width, blocks=2, experts=experts)
     rng = np.random.default_rng(seed + 100)
     for _, p in model.params.items():
         p.data[...] = rng.standard_normal(p.shape) * 0.4
@@ -131,7 +131,7 @@ def test_eval_accomp_rejects_mixed_clip_shapes():
     model = _model(data_dim=16)
     pairs = gen_toy_pairs(0, 1, N_TAGS, T=16) + gen_toy_pairs(0, 1, N_TAGS, T=32)
     with pytest.raises(DimensionError):
-        eval_accomp(model, pairs, N_TAGS, infer_steps=1)
+        eval_accomp(model, pairs, N_TAGS, seed=0, gamma=1.0, infer_steps=1)
 
 
 class _Recorder:

@@ -132,7 +132,7 @@ class TestRoutingStages:
             with Tape():
                 out = moe.route_aligned(Tensor(h), Tensor(z_v), state)
                 backward(tt.mse(out, Tensor(target)))
-            opt.step()
+            opt.step(None)
             opt.zero_grad()
         hard = RouterState(tau=TAU_LOW, mode="hard", rng=None)
         moe.route_aligned(Tensor(h), Tensor(z_v), hard)

@@ -1,4 +1,4 @@
-"""Two ratchets on the package's surface.
+"""Three ratchets on the package's surface.
 
 Settable values.  A settable value is a knob a caller can turn without
 editing the code:
@@ -6,7 +6,8 @@ editing the code:
   binds a loop variable and is not counted);
 - a field of a @dataclass that has a default and that __init__ takes;
 - a read of an environment variable.
-Deleting a knob lowers the count; the bound then moves down with it.
+The count must equal MAX_SETTABLE: deleting a knob moves the bound down
+with it, so no slack is left for a new knob to slip in.
 
 Reachability.  Every command, and each failure a user reaches, runs at tiny
 sizes under a profiler; a function none of them calls must be named in
@@ -14,6 +15,9 @@ UNREACHED with its reason, and an entry that a command now reaches, or that
 is gone, must leave the list.  A call made from gradcheck.py's code does not
 count unless it lands in gradcheck.py: a gradcheck case is a test of an op,
 not a use of it.
+
+Imports.  Every name a module of src/bandflow or tests imports is used in
+it; a re-export says so with `# noqa: F401` on its import line.
 """
 
 import ast
@@ -27,7 +31,7 @@ import bandflow.cli as cli
 from bandflow import blocks, gradcheck, metrics
 from bandflow.synth import FLOW2D_MIN_POINTS
 
-MAX_SETTABLE = 61
+MAX_SETTABLE = 44
 
 
 def _is_dataclass(cls):
@@ -98,6 +102,53 @@ def test_settable_values_do_not_grow():
         found += knobs(path.read_text(encoding="utf-8"), path.name)
     assert len(found) <= MAX_SETTABLE, (
         f"{len(found)} settable values, more than {MAX_SETTABLE}:\n" + "\n".join(found))
+    assert len(found) == MAX_SETTABLE, (
+        f"{len(found)} settable values, fewer than {MAX_SETTABLE}: lower MAX_SETTABLE "
+        f"to {len(found)}")
+
+
+# ---------------------------------------------------------------------------
+# imports: every imported name is used
+
+def unused_imports(source, filename):
+    """'file:line name' for every imported name the module never reads; an
+    import line marked `# noqa: F401` is a re-export and exempt."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = []
+    for node in ast.walk(tree):
+        if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                or getattr(node, "module", None) == "__future__"
+                or "# noqa: F401" in lines[node.lineno - 1]):
+            continue
+        imported += [(node.lineno, alias.asname or alias.name.split(".")[0])
+                     for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{filename}:{line} {name}" for line, name in imported if name not in used]
+
+
+def test_unused_imports_finds_each_kind():
+    source = '''
+from __future__ import annotations
+import os
+import a.b
+import numpy as np
+from m import used, unused, kept  # noqa: F401
+from n import other as alias
+
+np.zeros(used)
+'''
+    assert [k.split(" ", 1)[1] for k in unused_imports(source, "m.py")] == [
+        "os", "a", "alias"]
+
+
+def test_no_unused_imports():
+    root = Path(bandflow.__file__).parent
+    paths = sorted(root.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    found = []
+    for path in paths:
+        found += unused_imports(path.read_text(encoding="utf-8"), path.name)
+    assert not found, "unused imports:\n" + "\n".join(found)
 
 
 # ---------------------------------------------------------------------------

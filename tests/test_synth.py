@@ -100,8 +100,8 @@ class TestMelodyGrammar:
 
 class TestStyleToy:
     def test_deterministic(self):
-        a = gen_style_toy(6, 5)
-        b = gen_style_toy(6, 5)
+        a = gen_style_toy(6, 5, n_tags=4)
+        b = gen_style_toy(6, 5, n_tags=4)
         for sa, sb in zip(a, b):
             np.testing.assert_array_equal(sa.x1, sb.x1)
 

@@ -96,22 +96,22 @@ class TestSwapaxes:
 
 class TestSoftmax:
     def test_symmetry(self):
-        out = tt.softmax(Tensor([0.0, 0.0, 0.0]))
+        out = tt.softmax(Tensor([0.0, 0.0, 0.0]), axis=-1)
         np.testing.assert_allclose(out.data, np.full(3, 1 / 3))
 
     def test_stabilized(self):
-        out = tt.softmax(Tensor([1000.0, 0.0]))
+        out = tt.softmax(Tensor([1000.0, 0.0]), axis=-1)
         assert np.isfinite(out.data).all()
         np.testing.assert_allclose(out.data, [1.0, 0.0], atol=1e-12)
 
     def test_nan_input_raises(self):
         with pytest.raises(NumericError):
-            tt.softmax(Tensor([np.nan, 0.0]))
+            tt.softmax(Tensor([np.nan, 0.0]), axis=-1)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8))
     def test_rows_sum_to_one(self, row):
-        out = tt.softmax(Tensor([row]))
+        out = tt.softmax(Tensor([row]), axis=-1)
         assert abs(out.data.sum() - 1.0) < 1e-12
 
 
@@ -152,12 +152,12 @@ class TestNorms:
 class TestConv1d:
     def test_identity_kernel(self):
         x = np.random.default_rng(0).standard_normal((1, 7))
-        out = tt.conv1d(Tensor(x), Tensor([[[0.0, 1.0, 0.0]]]), bias=np.zeros(1))
+        out = tt.conv1d(Tensor(x), Tensor([[[0.0, 1.0, 0.0]]]), bias=np.zeros(1), dilation=1)
         np.testing.assert_allclose(out.data, x)
 
     def test_box_kernel_zero_padded(self):
         out = tt.conv1d(Tensor([[1.0, 0.0, 0.0, 0.0]]), Tensor([[[1.0, 1.0, 1.0]]]),
-                        bias=np.zeros(1))
+                        bias=np.zeros(1), dilation=1)
         np.testing.assert_allclose(out.data, [[1.0, 1.0, 0.0, 0.0]])
 
     def test_dilation_taps(self):
@@ -170,7 +170,8 @@ class TestConv1d:
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigError):
-            tt.conv1d(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 1, 2))), bias=np.zeros(1))
+            tt.conv1d(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 1, 2))), bias=np.zeros(1),
+                      dilation=1)
 
 
 class TestLosses:
@@ -254,7 +255,7 @@ class TestOptim:
             with Tape():
                 d = tt.sub(w, 3.0)
                 backward(tt.sum_(tt.mul(d, d)))
-            opt.step()
+            opt.step(None)
             opt.zero_grad()
         assert abs(w.data[0] - 3.0) < 0.1
 
@@ -263,7 +264,21 @@ class TestOptim:
         assert (opt.beta1, opt.beta2) == (0.9, 0.98)
 
 
+class TestGetitem:
+    @pytest.mark.parametrize("key", [[0, 0], np.array([1]), (0, np.array([1]))],
+                             ids=["list", "array", "tuple_with_array"])
+    def test_array_keys_rejected(self, key):
+        x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+        with pytest.raises(DimensionError, match="gather"):
+            x[key]
+
+
 class TestParameterStore:
+    def test_add_makes_a_trainable_leaf_with_a_zero_gradient(self):
+        w = ParameterStore().add("w", [1.0, 2.0])
+        assert w.requires_grad
+        np.testing.assert_array_equal(w.grad, [0.0, 0.0])
+
     def test_duplicate_name_rejected(self):
         store = ParameterStore()
         store.add("a.w", [1.0])
@@ -385,7 +400,7 @@ class TestFusedOpsMatchTheirChains:
 
         def group(ffn, mix):
             def run(h, logits, *ws):
-                gates = tt.softmax(logits)
+                gates = tt.softmax(logits, axis=-1)
                 outs = [ffn(h, *ws[4 * i:4 * i + 4]) for i in range(n)]
                 return tt.add(mix(gates, *outs), tt.mul(tt.sum_(gates), 0.5))
             return run
@@ -429,6 +444,6 @@ def test_determinism_same_seed_same_ops():
         rng = np.random.default_rng(42)
         a = Tensor(rng.standard_normal((4, 4)))
         b = Tensor(rng.standard_normal((4, 4)))
-        return tt.softmax(tt.matmul(a, b)).data
+        return tt.softmax(tt.matmul(a, b), axis=-1).data
 
     assert np.array_equal(run(), run())

@@ -4,9 +4,9 @@ import pytest
 import bandflow.tensor as tt
 import bandflow.train as train_module
 
-from bandflow.checkpoint import load_checkpoint, load_into, save_checkpoint
+from bandflow.checkpoint import load_into, save_checkpoint
 from bandflow.errors import NumericError
-from bandflow.flow import FlowConfig, FlowSample, cfm_loss, stack_flow_samples
+from bandflow.flow import FlowSample, cfm_loss, stack_flow_samples
 from bandflow.melody import MelodyModel, NoteSequence, melody_loss
 from bandflow.models import StylePredictorModel
 from bandflow.optim import Adam
@@ -91,8 +91,8 @@ class TestFit:
 
 class TestFlow2dPipeline:
     def test_loss_decreases_and_deterministic(self):
-        est1, losses1, _ = train_flow2d(seed=0, steps=60, batch=64)
-        est2, losses2, _ = train_flow2d(seed=0, steps=60, batch=64)
+        est1, losses1 = train_flow2d(seed=0, steps=60, batch=64)
+        est2, losses2 = train_flow2d(seed=0, steps=60, batch=64)
         assert losses1 == losses2
         assert np.mean(losses1[-10:]) < np.mean(losses1[:10])
         for n1, n2 in zip(est1.params.names(), est2.params.names()):
@@ -104,34 +104,34 @@ class TestFlow2dPipeline:
             train_flow2d(seed=0, steps=200, batch=16, lr=1e160)
 
     def test_mode_stats_shape(self):
-        est, _, _ = train_flow2d(seed=0, steps=5, batch=32)
-        stats = flow2d_mode_stats(sample_flow2d(est, 100, seed=1))
+        est, _ = train_flow2d(seed=0, steps=5, batch=32)
+        stats = flow2d_mode_stats(sample_flow2d(est, 100, seed=1, trace=None))
         assert stats["weight_left"] + stats["weight_right"] == pytest.approx(1.0)
 
 
 class TestStylePredictorPipeline:
     def test_loss_halves(self):
-        _, losses, _ = train_style_predictor(seed=0, steps=400)
+        _, losses = train_style_predictor(seed=0, steps=400)
         assert np.mean(losses[-10:]) < 0.5 * losses[0]
 
     def test_warmup_freezes_estimator(self):
         # model init inside the trainer uses default_rng(seed + 1)
         init = StylePredictorModel(np.random.default_rng(1 + 1), n_tags=4,
                                    n_phonemes=8, channels=8)
-        frozen, _, _ = train_style_predictor(seed=1, steps=5, warmup_steps=5)
+        frozen, _ = train_style_predictor(seed=1, steps=5, warmup_steps=5)
         for name in frozen.params.names():
             if name.startswith("wavenet"):
                 np.testing.assert_array_equal(frozen.params[name].data,
                                               init.params[name].data)
         # past the warm-up the estimator does move
-        trained, _, _ = train_style_predictor(seed=1, steps=10, warmup_steps=5)
+        trained, _ = train_style_predictor(seed=1, steps=10, warmup_steps=5)
         moved = any(
             not np.array_equal(trained.params[n].data, init.params[n].data)
             for n in trained.params.names() if n.startswith("wavenet"))
         assert moved
 
     def test_checkpoint_reproduces_loss_at_f32(self, tmp_path):
-        model, _, cfg = train_style_predictor(seed=3, steps=20)
+        model, _ = train_style_predictor(seed=3, steps=20)
         path = tmp_path / "style.vbnd"
         save_checkpoint(model.params, path)
         # quantize the trained model to f32 and reload into a fresh one
@@ -141,7 +141,7 @@ class TestStylePredictorPipeline:
         fresh = StylePredictorModel(np.random.default_rng(99), n_tags=4,
                                     n_phonemes=8, channels=8)
         load_into(fresh.params, path)
-        data = gen_style_toy(3, 4)
+        data = gen_style_toy(3, 4, n_tags=4)
         rng = np.random.default_rng(0)
         samples = stack_flow_samples(
             [FlowSample(x0=rng.standard_normal(s.x1.shape), x1=s.x1, t=0.25) for s in data])
@@ -154,7 +154,7 @@ class TestStylePredictorPipeline:
 
 class TestAccompPipeline:
     def test_short_run_and_route_trace(self, tmp_path):
-        model, losses, cfg, (train_pairs, held) = train_accomp(
+        model, losses, (train_pairs, held) = train_accomp(
             seed=0, steps=3, batch=2, n_pairs=12, n_tags=3, T=16, data_dim=8,
             width=16, experts=2, blocks=1, holdout=4)
         assert len(losses) == 3
@@ -191,7 +191,7 @@ class TestAccompGradientSum:
                 self.params.zero_grad()
 
         monkeypatch.setattr(train_module, "Adam", Recorder)
-        _, losses, _, _ = train_accomp(**self.KW)
+        _, losses, _ = train_accomp(**self.KW)
 
         per_sample = []
 
@@ -235,7 +235,7 @@ def test_accomp_op_counts_stay_at_most_the_fused_counts(monkeypatch):
     the global mix fused (ffn and gated_sum); an op chain that comes back in
     their place raises them."""
     made = _op_counter(monkeypatch)
-    model, _, _, (_, held) = train_accomp(seed=0, steps=1)
+    model, _, (_, held) = train_accomp(seed=0, steps=1)
     assert made[0] <= 812
     made[0] = 0
     assert len(held) == 16
