@@ -134,10 +134,11 @@ def euler_sample(estimator, x_init, cond, cfg: FlowConfig, null_cond=None, trace
 
 def sinusoidal_embedding(t):
     """Classic sin/cos features of times: [1, dim] for a float, t.shape +
-    (dim,) for an array."""
+    (dim,) for an array, embedding each distinct time once (grids repeat)."""
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    ang = t[..., None] * sinusoid_ladder(TIME_EMBED_DIM)
-    return np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
+    times, where = np.unique(t, return_inverse=True)
+    ang = times[:, None] * sinusoid_ladder(TIME_EMBED_DIM)
+    return np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)[where.reshape(t.shape)]
 
 
 class TimeEmbedding:

@@ -42,7 +42,7 @@ def numeric_grad(fn, inputs):
 def analytic_grad(fn_t, inputs):
     for t in inputs:
         t.requires_grad = True
-        t.zero_grad()
+        t.grad = None
     with Tape():
         loss = fn_t(*inputs)
         backward(loss)

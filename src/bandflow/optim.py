@@ -11,15 +11,21 @@ ADAM_EPS = 1e-8
 
 
 class Adam:
-    """Adam with bias correction; state keyed by parameter name."""
+    """Adam with bias correction over the store's flat segments."""
 
     def __init__(self, store: ParameterStore, lr):
         self.store = store
         self.lr = lr
         self.beta1, self.beta2 = ADAM_BETAS
         self.t = 0
-        self._m = {name: np.zeros_like(p.data) for name, p in store.items()}
-        self._v = {name: np.zeros_like(p.data) for name, p in store.items()}
+        # the per-tensor arrays die after the new buffers exist, leaving one
+        # free block below them for each step's temporaries (see CHANGES.md)
+        held = [(p.data, p.grad) for _, p in store.items()]
+        self._state = [(seg, np.zeros_like(seg.data), np.zeros_like(seg.data))
+                       for seg in store.pack()]
+        width = max((seg.data.size for seg in store.pack()), default=0)
+        self._num, self._den = np.empty(width), np.empty(width)
+        del held
 
     def step(self, skip):
         """Apply one update; `skip` is None or a predicate on names to freeze."""
@@ -27,16 +33,21 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
-        for name, p in self.store.items():
-            if skip is not None and skip(name):
-                continue
-            m = self._m[name]
-            v = self._v[name]
-            m *= b1
-            m += (1.0 - b1) * p.grad
-            v *= b2
-            v += (1.0 - b2) * p.grad * p.grad
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        for seg, m_all, v_all in self._state:
+            for lo, hi in seg.free_runs(skip):
+                g, m, v = seg.grad[lo:hi], m_all[lo:hi], v_all[lo:hi]
+                num, den = self._num[:hi - lo], self._den[:hi - lo]
+                # the per-tensor update's order, so every bit stays: m*b1 + (1-b1)*g,
+                # v*b2 + ((1-b2)*g)*g, p - (lr*(m/c1)) / (sqrt(v/c2) + eps)
+                m *= b1
+                m += np.multiply(g, 1.0 - b1, out=num)
+                v *= b2
+                np.multiply(g, 1.0 - b2, out=den)
+                v += np.multiply(den, g, out=den)
+                np.sqrt(np.divide(v, c2, out=den), out=den)
+                den += ADAM_EPS
+                np.multiply(np.divide(m, c1, out=num), self.lr, out=num)
+                seg.data[lo:hi] -= np.divide(num, den, out=num)
 
     def zero_grad(self):
         self.store.zero_grad()

@@ -98,7 +98,7 @@ def gen_melody_grammar(seed, n_songs):
         degrees = []
         for _ in range(GRAMMAR_SONG_NOTES):
             degrees.append(degree)
-            degree = int(np.clip(degree + rng.integers(-2, 3), 0, 6))
+            degree = min(max(degree + int(rng.integers(-2, 3)), 0), 6)
         degrees = np.asarray(degrees)
         pitches = (GRAMMAR_BASE_PITCH + tonic + MAJOR_SCALE[degrees]).tolist()
         durations = [0.5 if g % 2 == 0 else 1.0 for g in degrees]

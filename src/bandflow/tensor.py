@@ -11,6 +11,8 @@ float64, so finite-difference checks are meaningful.
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
 from .errors import (
@@ -56,6 +58,7 @@ __all__ = [
 
 RMSNORM_EPS = 1e-6
 LAYERNORM_EPS = 1e-5
+SEGMENT_FLOATS = 16_000     # under glibc's 128 KiB mmap threshold, which a freed mmap raises
 
 
 class Tensor:
@@ -86,14 +89,12 @@ class Tensor:
             raise DimensionError(f"expected scalar tensor, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self):
-        if self.grad is not None:
-            self.grad[...] = 0.0
-
     def accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # `out` keeps the data's layout when `g` is a transposed view
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -732,35 +733,82 @@ def gather(a, indices):
 # ---------------------------------------------------------------------------
 # parameters
 
+class _Segment:
+    """Consecutive parameters whose `data` and `grad` are views into one flat
+    data and one flat grad buffer."""
+
+    def __init__(self, named):
+        self.names = [name for name, _ in named]
+        self.ends = np.cumsum([t.size for _, t in named]).tolist()
+        self.data = np.concatenate([t.data.ravel() for _, t in named])
+        self.grad = np.concatenate([t.grad.ravel() for _, t in named])
+        for (_, t), lo, hi in zip(named, [0] + self.ends, self.ends):
+            t.data = self.data[lo:hi].reshape(t.shape)
+            t.grad = self.grad[lo:hi].reshape(t.shape)
+
+    def free_runs(self, skip):
+        """(lo, hi) offsets of each maximal run of names `skip` leaves free."""
+        if skip is None:
+            return [(0, self.data.size)]
+        runs, lo = [], 0
+        for name, hi in zip(self.names, self.ends):
+            if not skip(name):
+                if runs and runs[-1][1] == lo:
+                    runs[-1] = (runs[-1][0], hi)
+                else:
+                    runs.append((lo, hi))
+            lo = hi
+        return runs
+
+
 class ParameterStore:
-    """Named map of trainable leaves; iteration is lexicographic."""
+    """Named map of trainable leaves; iteration is lexicographic.  After
+    `pack()`, `add` and `merge` raise and no leaf's data or grad is rebound."""
 
     def __init__(self):
         self._params = {}
+        self._names = []
+        self._segments = None
 
-    def add(self, name, value):
+    def _put(self, name, t):
+        if self._segments is not None:
+            raise StateError(f"cannot add {name!r}: the store is packed")
         if name in self._params:
             raise StateError(f"duplicate parameter name {name!r}")
-        t = Tensor(value, requires_grad=True)
         self._params[name] = t
+        bisect.insort(self._names, name)
         return t
+
+    def add(self, name, value):
+        return self._put(name, Tensor(value, requires_grad=True))
 
     def __getitem__(self, name):
         return self._params[name]
 
     def names(self):
-        return sorted(self._params)
+        return self._names
 
     def items(self):
         for name in self.names():
             yield name, self._params[name]
 
+    def pack(self):
+        """The segments, made once: at most SEGMENT_FLOATS floats or one leaf each."""
+        if self._segments is None:
+            groups, size = [], float("inf")
+            for name, t in self.items():
+                size += t.size
+                if size > SEGMENT_FLOATS:
+                    groups.append([])
+                    size = t.size
+                groups[-1].append((name, t))
+            self._segments = [_Segment(g) for g in groups]
+        return self._segments
+
     def zero_grad(self):
-        for _, t in self.items():
-            t.zero_grad()
+        for seg in self.pack():
+            seg.grad.fill(0.0)
 
     def merge(self, other):
         for name, t in other.items():
-            if name in self._params:
-                raise StateError(f"duplicate parameter name {name!r}")
-            self._params[name] = t
+            self._put(name, t)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bandflow.checkpoint import load_checkpoint, load_into, save_checkpoint
 from bandflow.errors import DataError
+from bandflow.optim import Adam
 from bandflow.tensor import ParameterStore
 
 
@@ -48,6 +49,25 @@ def test_load_into_shape_mismatch(tmp_path):
     store.add("w", np.zeros((3, 3)))
     with pytest.raises(DataError):
         load_into(store, path)
+
+
+def test_load_into_a_packed_store_writes_through_its_segments(tmp_path):
+    rng = np.random.default_rng(1)
+    path = tmp_path / "m.vbnd"
+    save_checkpoint(_store(a=rng.standard_normal((4, 3)), b=rng.standard_normal(5)), path)
+    store = _store(a=np.zeros((4, 3)), b=np.zeros(5))
+    opt = Adam(store, lr=0.1)
+    load_into(store, path)
+    (seg,) = store.pack()
+    loaded = load_checkpoint(path)
+    for name, t in store.items():
+        assert np.shares_memory(t.data, seg.data)
+        np.testing.assert_array_equal(t.data, loaded[name])
+        t.grad[...] = 1.0
+    opt.step(None)
+    for name, t in store.items():
+        assert np.shares_memory(t.data, seg.data)
+        assert (t.data < loaded[name]).all()
 
 
 def test_save_twice_identical_bytes(tmp_path):

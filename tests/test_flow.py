@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import bandflow.tensor as tt
+from bandflow.blocks import sinusoid_ladder
 from bandflow.errors import ConfigError, DimensionError, NumericError
 from bandflow.flow import (
+    TIME_EMBED_DIM,
     FlowConfig,
     FlowSample,
     MLPEstimator,
@@ -12,6 +14,7 @@ from bandflow.flow import (
     cfm_loss,
     euler_sample,
     make_flow_sample,
+    sinusoidal_embedding,
     stack_flow_samples,
 )
 from bandflow.optim import Adam
@@ -229,6 +232,20 @@ class TestCfgField:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             cfg_field(Tensor(np.zeros(2)), Tensor(np.zeros(3)), 1.0)
+
+
+@pytest.mark.parametrize("t", [0.37, np.arange(64) % 7 / 100.0,
+                               (np.arange(12) % 5 / 10.0)[:, None]],
+                         ids=["float", "grid", "column"])
+def test_sinusoidal_embedding_matches_the_direct_formula_bitwise(t):
+    """Embedding each distinct time once and gathering the rows gives every
+    bit of embedding each entry."""
+    times = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    ang = times[..., None] * sinusoid_ladder(TIME_EMBED_DIM)
+    direct = np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
+    out = sinusoidal_embedding(t)
+    assert out.shape == times.shape + (TIME_EMBED_DIM,)
+    assert out.tobytes() == direct.tobytes()
 
 
 class TestWaveNet:

@@ -6,6 +6,7 @@ from bandflow.synth import (
     FLOW2D_CENTERS,
     FLOW2D_SIGMA,
     GRAMMAR_BASE_PITCH,
+    GRAMMAR_SONG_NOTES,
     GRAMMAR_TEMPI,
     MAJOR_SCALE,
     gen_flow2d,
@@ -96,6 +97,24 @@ class TestMelodyGrammar:
     def test_all_keys_appear(self):
         tags = {s.tag for s in gen_melody_grammar(3, 200)}
         assert tags == set(range(12))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_degrees_match_the_np_clip_walk(self, seed):
+        """The scalar min/max walk makes the draws and degrees of the
+        np.clip form it replaced."""
+        rng = np.random.default_rng(seed)
+        expected = []
+        for _ in range(12):
+            tonic = int(rng.integers(12))
+            rng.integers(len(GRAMMAR_TEMPI))
+            degree = int(rng.integers(7))
+            degrees = []
+            for _ in range(GRAMMAR_SONG_NOTES):
+                degrees.append(degree)
+                degree = int(np.clip(degree + rng.integers(-2, 3), 0, 6))
+            expected.append((tonic, degrees))
+        songs = gen_melody_grammar(seed, 12)
+        assert [(s.tag, s.phonemes.tolist()) for s in songs] == expected
 
 
 class TestStyleToy:

@@ -24,7 +24,7 @@ from bandflow.tensor import ParameterStore, Tape, Tensor, backward
 def grad_of(fn, *inputs):
     for t in inputs:
         t.requires_grad = True
-        t.zero_grad()
+        t.grad = None
     with Tape():
         backward(fn(*inputs))
     return [t.grad for t in inputs]
@@ -234,6 +234,16 @@ class TestBackward:
             backward(tt.sum_(w))
         np.testing.assert_array_equal(other.grad, [0.0])
 
+    def test_first_gradient_of_a_transposed_view_lands_c_contiguous(self):
+        t = Tensor(np.zeros((3, 2)))
+        t.requires_grad = True
+        g = np.array([[1.0, -0.0, 2.0], [-0.0, 3.0, 4.0]]).T
+        t.accumulate(g)
+        assert t.grad.flags.c_contiguous
+        np.testing.assert_array_equal(t.grad, g)
+        # -0.0 becomes +0.0, as when the gradient was a zero buffer plus g
+        assert not np.signbit(t.grad).any()
+
     def test_loss_without_tape_raises(self):
         with pytest.raises(StateError):
             backward(tt.sum_(Tensor([1.0], requires_grad=True)))
@@ -289,7 +299,41 @@ class TestParameterStore:
         store = ParameterStore()
         for name in ("b", "a", "c"):
             store.add(name, [0.0])
+            store.names()
         assert store.names() == ["a", "b", "c"]
+
+    def test_pack_makes_views_into_segments_of_consecutive_names(self):
+        rng = np.random.default_rng(0)
+        shapes = {"e": 7000, "a": 9000, "c": 3, "b": 9000, "d": 20000, "f": (50, 10)}
+        values = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+        store = ParameterStore()
+        for name, value in values.items():
+            store.add(name, value)
+        segments = store.pack()
+        # a 20,000-float leaf is a segment of its own
+        assert [seg.names for seg in segments] == [["a"], ["b", "c"], ["d"], ["e", "f"]]
+        assert store.pack() is segments
+        for seg in segments:
+            assert seg.data.nbytes < 128 * 1024 or len(seg.names) == 1
+            for name in seg.names:
+                p = store[name]
+                assert np.shares_memory(p.data, seg.data)
+                assert np.shares_memory(p.grad, seg.grad)
+                np.testing.assert_array_equal(p.data, values[name])
+        store["c"].grad[...] = 1.0
+        store.zero_grad()
+        assert not any(seg.grad.any() for seg in segments)
+
+    def test_add_and_merge_after_pack_raise(self):
+        store, other = ParameterStore(), ParameterStore()
+        store.add("a", [1.0])
+        other.add("b", [1.0])
+        Adam(store, lr=0.1)
+        with pytest.raises(StateError, match="packed"):
+            store.add("c", [1.0])
+        with pytest.raises(StateError, match="packed"):
+            store.merge(other)
+        assert store.names() == ["a"]
 
 
 def test_public_names_resolve():

@@ -8,8 +8,8 @@ from bandflow.checkpoint import load_into, save_checkpoint
 from bandflow.errors import NumericError
 from bandflow.flow import FlowSample, cfm_loss, stack_flow_samples
 from bandflow.melody import MelodyModel, NoteSequence, melody_loss
-from bandflow.models import StylePredictorModel
-from bandflow.optim import Adam
+from bandflow.models import AccompFlowModel, StylePredictorModel
+from bandflow.optim import ADAM_BETAS, ADAM_EPS, Adam
 from bandflow.synth import MelodySample, gen_melody_grammar, gen_style_toy
 from bandflow.tensor import ParameterStore, Tape, backward
 from acceptance_helpers import flow2d_mode_stats, random_melody_baseline
@@ -150,6 +150,67 @@ class TestStylePredictorPipeline:
         a = cfm_loss(model, samples, conds).item()
         b = cfm_loss(fresh, samples, conds).item()
         assert a == b
+
+
+class _PerNameAdam:
+    """The per-name Adam loop that the packed segments replaced: the oracle
+    for every bit of the packed update."""
+
+    def __init__(self, store, lr):
+        self.store = store
+        self.lr = lr
+        self.t = 0
+        self._m = {name: np.zeros_like(p.data) for name, p in store.items()}
+        self._v = {name: np.zeros_like(p.data) for name, p in store.items()}
+
+    def step(self, skip):
+        self.t += 1
+        b1, b2 = ADAM_BETAS
+        c1 = 1.0 - b1 ** self.t
+        c2 = 1.0 - b2 ** self.t
+        for name, p in self.store.items():
+            if skip is not None and skip(name):
+                continue
+            m = self._m[name]
+            v = self._v[name]
+            m *= b1
+            m += (1.0 - b1) * p.grad
+            v *= b2
+            v += (1.0 - b2) * p.grad * p.grad
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+
+    def zero_grad(self):
+        for _, p in self.store.items():
+            p.grad[...] = 0.0
+
+
+@pytest.mark.parametrize("frozen", [
+    None,
+    lambda name: name.startswith("wavenet"),     # the style warm-up
+    lambda name: name == "cond.tag_emb",         # splits a segment in two runs
+], ids=["none", "warmup", "mid_name"])
+def test_packed_adam_matches_the_per_name_loop_bitwise(monkeypatch, frozen):
+    """40 style steps, `frozen` held for the first 20, give the same float64
+    parameters and losses with the packed Adam as with the per-name loop."""
+    real_fit = train_module.fit
+
+    def run(opt_class):
+        monkeypatch.setattr(train_module, "Adam", opt_class)
+        monkeypatch.setattr(train_module, "fit", lambda opt, steps, draws, skip: real_fit(
+            opt, steps, draws, skip=lambda step: frozen if step < 20 else None))
+        model, losses = train_style_predictor(seed=0, steps=40)
+        return [x.hex() for x in losses], {n: p.data.tobytes() for n, p in model.params.items()}
+
+    assert run(Adam) == run(_PerNameAdam)
+
+
+def test_accomp_segments_stay_under_128_kib():
+    store = AccompFlowModel(np.random.default_rng(0), 3, experts=4).params
+    names = store.names()
+    segments = store.pack()
+    assert [n for seg in segments for n in seg.names] == names
+    for seg in segments:
+        assert seg.data.nbytes < 128 * 1024 or len(seg.names) == 1
 
 
 class TestAccompPipeline:
