@@ -116,7 +116,6 @@ class GatedAttention:
             raise ConfigError(f"width {d} not divisible by {heads} heads")
         if (d // heads) % 2 != 0:
             raise ConfigError("head width must be even for RoPE")
-        self.d = d
         self.heads = heads
         self.head_dim = d // heads
         s = 1.0 / np.sqrt(d)
@@ -129,34 +128,25 @@ class GatedAttention:
         self.wo = p.add(f"{prefix}.wo", np.zeros((d, d)))
         self.alpha = p.add(f"{prefix}.alpha", np.zeros(()))
 
-    def _split(self, x):
-        """[..., T, d] -> [..., heads, T, head_dim]."""
-        lead = x.shape[:-1]
-        return tt.swapaxes(tt.reshape(x, lead + (self.heads, self.head_dim)), -3, -2)
-
-    def _merge(self, x):
-        """[..., heads, T, head_dim] -> [..., T, d]."""
-        return tt.reshape(tt.swapaxes(x, -3, -2), x.shape[:-3] + (x.shape[-2], self.d))
-
     def _query(self, h):
-        return self._split(rope_rotate(tt.matmul(h, self.wq), heads=self.heads))
+        return tt.split_heads(rope_rotate(tt.matmul(h, self.wq), heads=self.heads), self.heads)
 
     def _cross(self, q, z_p):
-        kz = self._split(tt.matmul(z_p, self.wkz))
-        vz = self._split(tt.matmul(z_p, self.wvz))
+        kz = tt.split_heads(tt.matmul(z_p, self.wkz), self.heads)
+        vz = tt.split_heads(tt.matmul(z_p, self.wvz), self.heads)
         return tt.mul(sdp_attention(q, kz, vz), tt.tanh(self.alpha))
 
     def __call__(self, h, z_p):
         q = self._query(h)
-        k = self._split(rope_rotate(tt.matmul(h, self.wk), heads=self.heads))
-        out = sdp_attention(q, k, self._split(tt.matmul(h, self.wv)))
+        k = tt.split_heads(rope_rotate(tt.matmul(h, self.wk), heads=self.heads), self.heads)
+        out = sdp_attention(q, k, tt.split_heads(tt.matmul(h, self.wv), self.heads))
         if z_p is not None:
             out = tt.add(out, self._cross(q, z_p))
-        return tt.matmul(self._merge(out), self.wo)
+        return tt.matmul(tt.merge_heads(out), self.wo)
 
     def cross_branch(self, h, z_p):
         """The gated cross-attention contribution alone (for inspection)."""
-        return self._merge(self._cross(self._query(h), z_p))
+        return tt.merge_heads(self._cross(self._query(h), z_p))
 
 
 class FeedForward:
@@ -213,7 +203,9 @@ class BandBlock:
 
     def __call__(self, h, z_p, z_g, moe_ctx):
         """h: [..., T, d]; z_p: [..., P, d] or None; z_g: [..., 1, d] global
-        style, which modulates every token of its row."""
+        style, which modulates every token of its row.  z_p and z_g may carry
+        one more leading axis than h ([2, r, ...] over [r, ...]): h's rmsnorm
+        and self-attention then run once and broadcast at the cross-attention."""
         a = tt.add(h, self.attn(tt.rmsnorm(h, self.norm_gain), z_p))
         scale = tt.matmul(z_g, self.w_scale)
         shift = tt.matmul(z_g, self.w_shift)

@@ -95,8 +95,14 @@ def load_checkpoint(path) -> dict:
 
 
 def load_into(store: ParameterStore, path) -> None:
-    """Overwrite store parameters from a checkpoint; names must match."""
+    """Overwrite store parameters from a checkpoint; names must match: a
+    parameter the checkpoint lacks, or a tensor the store lacks, is a
+    DataError."""
     arrays = load_checkpoint(path)
+    names = set(store.names())
+    extra = [name for name in arrays if name not in names]
+    if extra:
+        raise DataError(f"checkpoint holds tensor {extra[0]!r}, which the store lacks")
     for name, t in store.items():
         if name not in arrays:
             raise DataError(f"checkpoint missing parameter {name!r}")

@@ -110,6 +110,8 @@ def _cases(rng):
                              [_t(rng, 1, m, k), _t(rng, heads, k, n)]),
         "swapaxes": (lambda a: tt.swapaxes(a, 0, -1), [_t(rng, heads, m, n)]),
         "reshape": (lambda a: tt.reshape(a, (n, m)), [_t(rng, m, n)]),
+        "split_heads": (lambda a: tt.split_heads(a, heads), [_t(rng, rows, T, heads * d2)]),
+        "merge_heads": (tt.merge_heads, [_t(rng, rows, heads, T, d2)]),
         "getitem": (lambda a: a[1:, ::2], [_t(rng, m + 1, 2 * n)]),
         "concat": (lambda a, b: tt.concat([a, b], axis=0), [_t(rng, m, n), _t(rng, k, n)]),
         "tanh": (lambda a: tt.tanh(a), [_t(rng, m, n)]),

@@ -41,7 +41,12 @@ class AccompFlowModel:
 
     A batch runs in chunks of at most ACCOMP_CHUNK_TOKENS tokens (rows x T,
     at least one row each).  Rows never mix, so each row's output equals
-    the one-clip call's.
+    the one-clip call's.  A guided batch, [cond; null] stacked by
+    euler_sample, has bitwise equal halves of x and v; it runs in chunks of
+    r clips and their r null twins, whose stem (the input projections and
+    block 0's rmsnorm and self-attention, which no tag reaches) runs once
+    on the r clips and broadcasts into the [2, r, ...] rows where the tags
+    enter.  Each row still does its one-clip call's arithmetic.
     """
 
     def __init__(self, rng, n_tags, data_dim=16, width=64, blocks=2, experts=4):
@@ -81,17 +86,35 @@ class AccompFlowModel:
         if x.ndim != 3 or tags.shape != x.shape[:1]:
             raise DimensionError(
                 f"batched input {x.shape} needs one tag per row, got tags of shape {tags.shape}")
+        k = x.shape[0] // 2
+        if (k and 2 * k == x.shape[0] and 2 * x.shape[1] <= ACCOMP_CHUNK_TOKENS
+                and np.array_equal(x.data[:k], x.data[k:])
+                and np.array_equal(v.data[:k], v.data[k:])):
+            return self._guided(x, temb, v, tags)
         rows = max(1, ACCOMP_CHUNK_TOKENS // x.shape[1])
         if x.shape[0] <= rows:
             return self._forward(x, temb, v, tags)
         return tt.concat([self._forward(x[i:i + rows], temb, v[i:i + rows], tags[i:i + rows])
                           for i in range(0, x.shape[0], rows)], axis=0)
 
+    def _guided(self, x, temb, v, tags):
+        """A stacked [cond; null] batch of 2k rows whose halves hold the same
+        x and v, in chunks of r clips and their r null twins."""
+        k, T = x.shape[0] // 2, x.shape[1]
+        r = ACCOMP_CHUNK_TOKENS // (2 * T)
+        v = tt.reshape(v, (2, k) + v.shape[1:])
+        tags = tags.reshape(2, k)
+        outs = [self._forward(x[i:min(i + r, k)], temb, v[:, i:i + r], tags[:, i:i + r])
+                for i in range(0, k, r)]
+        return tt.reshape(outs[0] if len(outs) == 1 else tt.concat(outs, axis=1), x.shape)
+
     def _forward(self, x, temb, v, tag):
         z_v = tt.matmul(v, self.w_v)
+        # a guided chunk: v [2, r, T, ·] over x [r, T, ·]; the stem runs on half 0
+        stem = z_v if z_v.ndim == x.ndim else z_v[0]
         z_p = tag_tokens(self.tag_emb, tag, ACCOMP_TAG_TOKENS)
-        z_g = global_style(z_p, z_v, temb)
-        h = tt.add(tt.matmul(x, self.w_in), z_v)
+        z_g = global_style(z_p, stem, temb)
+        h = tt.add(tt.matmul(x, self.w_in), stem)
         ctx = {"z_v": z_v, "z_p": z_p, "time_vec": temb, "state": self.state}
         for block in self.blocks:
             h = block(h, z_p, z_g, moe_ctx=ctx)

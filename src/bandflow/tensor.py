@@ -35,6 +35,8 @@ __all__ = [
     "ffn",
     "gated_sum",
     "swapaxes",
+    "split_heads",
+    "merge_heads",
     "rotate_pairs",
     "reshape",
     "getitem",
@@ -421,6 +423,29 @@ def swapaxes(a, axis1, axis2):
     return _make(out, [(a, lambda g: np.swapaxes(g, axis1, axis2))])
 
 
+def split_heads(a, heads):
+    """[..., T, heads * w] -> [..., heads, T, w] as one op; the output is a
+    fresh C-order array, the reshape and swapaxes pair's values."""
+    a = _as_tensor(a)
+    if a.ndim < 2 or a.shape[-1] % heads != 0:
+        raise DimensionError(f"cannot split {a.shape} into {heads} heads")
+    lead = a.shape[:-1]
+    out = np.swapaxes(a.data.reshape(lead + (heads, a.shape[-1] // heads)), -3, -2).copy()
+    return _make(out, [(a, lambda g: np.swapaxes(g, -3, -2).reshape(a.shape))])
+
+
+def merge_heads(a):
+    """[..., heads, T, w] -> [..., T, heads * w] as one op, the inverse of
+    split_heads; the output is a fresh C-order array."""
+    a = _as_tensor(a)
+    if a.ndim < 3:
+        raise DimensionError(f"merge_heads expects [..., heads, T, w], got {a.shape}")
+    heads, T, w = a.shape[-3:]
+    out = np.swapaxes(a.data, -3, -2).copy().reshape(a.shape[:-3] + (T, heads * w))
+    return _make(out, [(a, lambda g: np.swapaxes(g.reshape(a.shape[:-3] + (T, heads, w)),
+                                                 -3, -2))])
+
+
 def reshape(a, shape):
     a = _as_tensor(a)
     out = a.data.reshape(shape).copy()
@@ -763,14 +788,25 @@ class _Segment:
 
 class ParameterStore:
     """Named map of trainable leaves; iteration is lexicographic.  After
-    `pack()`, `add` and `merge` raise and no leaf's data or grad is rebound."""
+    `pack()`, `add` and `merge` raise and no leaf's data or grad is rebound.
+    A store merged into another is closed: reads still work, but `add`,
+    `pack` and `zero_grad` raise, since its leaves belong to the other's
+    segments; a packed store cannot be merged."""
 
     def __init__(self):
         self._params = {}
         self._names = []
         self._segments = None
+        self._owner = None
+
+    def _check_open(self, action):
+        if self._owner is not None:
+            names = self._owner.names()
+            owner = f"the store holding {names[0]!r}" if names else "an empty store"
+            raise StateError(f"cannot {action}: the store was merged into {owner}")
 
     def _put(self, name, t):
+        self._check_open(f"add {name!r}")
         if self._segments is not None:
             raise StateError(f"cannot add {name!r}: the store is packed")
         if name in self._params:
@@ -794,6 +830,7 @@ class ParameterStore:
 
     def pack(self):
         """The segments, made once: at most SEGMENT_FLOATS floats or one leaf each."""
+        self._check_open("pack")
         if self._segments is None:
             groups, size = [], float("inf")
             for name, t in self.items():
@@ -810,5 +847,9 @@ class ParameterStore:
             seg.grad.fill(0.0)
 
     def merge(self, other):
+        other._check_open("merge it again")
+        if other._segments is not None:
+            raise StateError("cannot merge a packed store: its leaves live in its own segments")
         for name, t in other.items():
             self._put(name, t)
+        other._owner = self

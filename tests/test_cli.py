@@ -494,6 +494,18 @@ class TestTrainAndSample:
         assert err.count("\n") == 1 and "'mlp.b0'" in err and "repeats" in err
         assert not out_csv.exists()
 
+    def test_sample_checkpoint_with_an_extra_tensor_exits_two(self, tmp_path, capsys):
+        store = MLPEstimator(2, 64, np.random.default_rng(0)).params
+        store.add("extra", np.ones(3))
+        ck = tmp_path / "extra.vbnd"
+        save_checkpoint(store, ck)
+        out_csv = tmp_path / "s.csv"
+        code, out, err = run(["sample", "--ckpt", str(ck), "--n", "3", "--out", str(out_csv)],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: checkpoint holds tensor 'extra', which the store lacks\n"
+        assert not out_csv.exists()
+
 
 class TestEvalMelody:
     def _write_songs(self, directory, seed=0):

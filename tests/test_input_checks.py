@@ -37,9 +37,12 @@ def _accomp_misaligned():
 
 
 def _accomp_and_clips():
-    """A small accomp model and a two-clip batch: x [2, 6, 4], (vocals, tags)."""
+    """A small accomp model and a two-clip batch: x [2, 6, 4], (vocals, tags).
+    Its clips differ, so it is not a stacked guided pair, whose halves share
+    one stem."""
     model = AccompFlowModel(_rng(), 2, data_dim=4, width=8, blocks=1, experts=2)
-    return model, np.zeros((2, 6, 4)), (np.zeros((2, 6, 4)), np.array([0, 1]))
+    x = np.stack([np.zeros((6, 4)), np.ones((6, 4))])
+    return model, x, (np.zeros((2, 6, 4)), np.array([0, 1]))
 
 
 def _accomp_per_row_times():
@@ -131,6 +134,10 @@ CASES = {
                                ConfigError, "even width"),
     "layernorm_zero_axis": (lambda: tt.layernorm(_z(2, 0)), DimensionError, "zero-length"),
     "merge_duplicate_name": (_merge_duplicate, StateError, "duplicate parameter name 'w'"),
+    "split_heads_uneven_width": (lambda: tt.split_heads(_z(3, 5), 2), DimensionError,
+                                 r"cannot split \(3, 5\) into 2 heads"),
+    "merge_heads_rank": (lambda: tt.merge_heads(_z(3, 4)), DimensionError,
+                         r"merge_heads expects \[\.\.\., heads, T, w\], got \(3, 4\)"),
     "gumbel_gate_mode": (lambda: gumbel_gate(_z(2, 3), 1.0, None, mode="x"), ConfigError,
                          "unknown router mode"),
     "attention_zero_keys": (lambda: style_alignment_stack(_z(3, 4), _z(0, 4), layers=1),
@@ -164,6 +171,19 @@ def test_load_into_missing_parameter(tmp_path):
     wanted.add("b", np.zeros(2))
     with pytest.raises(DataError, match="missing parameter 'b'"):
         load_into(wanted, path)
+
+
+def test_load_into_extra_tensor(tmp_path):
+    saved = ParameterStore()
+    for name in ("extra", "mlp.w0", "zz"):
+        saved.add(name, np.ones(2))
+    path = tmp_path / "three.vbnd"
+    save_checkpoint(saved, path)
+    wanted = ParameterStore()
+    wanted.add("mlp.w0", np.zeros(2))
+    with pytest.raises(DataError, match="holds tensor 'extra', which the store lacks"):
+        load_into(wanted, path)
+    np.testing.assert_array_equal(wanted["mlp.w0"].data, np.zeros(2))
 
 
 def test_load_notes_not_utf8(tmp_path):

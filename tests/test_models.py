@@ -116,8 +116,10 @@ def _per_clip_eval(model, held_pairs, n_tags, seed, gamma, infer_steps):
     return float(np.mean(corrs)), corrs
 
 
-# 2 x 5 x 16 tokens fit in one chunk; 9 and 18 rows of 64 tokens do not
-@pytest.mark.parametrize("k,T", [(5, 16), (9, 64)], ids=["one_chunk", "chunked"])
+# 2 x 5 x 16 tokens fit in one chunk; 9 and 18 rows of 64 tokens do not; a
+# guided 256-token clip and its null twin fill a chunk, so 3 clips take three
+@pytest.mark.parametrize("k,T", [(5, 16), (9, 64), (3, 256)],
+                         ids=["one_chunk", "chunked", "pair_per_chunk"])
 @pytest.mark.parametrize("gamma", [1.0, 3.0])
 def test_eval_accomp_equals_per_clip_loop(k, T, gamma):
     model = _model(seed=6, data_dim=16)
@@ -125,6 +127,36 @@ def test_eval_accomp_equals_per_clip_loop(k, T, gamma):
     got = eval_accomp(model, pairs, N_TAGS, seed=8, gamma=gamma, infer_steps=3)
     want = _per_clip_eval(model, pairs, N_TAGS, seed=8, gamma=gamma, infer_steps=3)
     assert got == want
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("T", [16, 256])
+def test_stacked_guided_batch_equals_its_two_halves(k, T):
+    """A [x; x] batch with tags [tags; null] runs its shared stem once per
+    chunk; each half must still equal its own unstacked call, bit for bit."""
+    model = _model(seed=9, data_dim=16)
+    rng = np.random.default_rng(k * T)
+    x, v = rng.standard_normal((2, k, T, 16))
+    tags = rng.integers(N_TAGS, size=k)
+    null = np.full(k, N_TAGS)
+    model.state = RouterState(tau=TAU_LOW, mode="hard", rng=None)
+    stacked = model(Tensor(np.concatenate([x, x])), 0.6,
+                    (np.concatenate([v, v]), np.concatenate([tags, null]))).data
+    halves = [model(Tensor(x), 0.6, (v, t)).data for t in (tags, null)]
+    np.testing.assert_array_equal(stacked, np.concatenate(halves))
+
+
+def test_stacked_guided_batch_normalises_each_clip_once_in_block_0(monkeypatch):
+    """Block 0's rmsnorm, and so its self-attention, sees each chunk's clips
+    once; block 1 sees each clip and its null twin."""
+    seen = []
+    rmsnorm = tt.rmsnorm
+    monkeypatch.setattr(tt, "rmsnorm", lambda a, gain: seen.append(a.shape) or rmsnorm(a, gain))
+    model = _model(seed=9, data_dim=16)
+    x = np.ones((6, 256, 16))
+    model.state = RouterState(tau=TAU_LOW, mode="hard", rng=None)
+    model(Tensor(x), 0.6, (x, np.array([0, 1, 2, 3, 3, 3])))
+    assert seen == [(1, 256, 16), (2, 1, 256, 16)] * 3
 
 
 def test_eval_accomp_rejects_mixed_clip_shapes():

@@ -5,7 +5,7 @@ import bandflow.tensor as tt
 import bandflow.train as train_module
 
 from bandflow.checkpoint import load_into, save_checkpoint
-from bandflow.errors import NumericError
+from bandflow.errors import NumericError, StateError
 from bandflow.flow import FlowSample, cfm_loss, stack_flow_samples
 from bandflow.melody import MelodyModel, NoteSequence, melody_loss
 from bandflow.models import AccompFlowModel, StylePredictorModel
@@ -204,6 +204,16 @@ def test_packed_adam_matches_the_per_name_loop_bitwise(monkeypatch, frozen):
     assert run(Adam) == run(_PerNameAdam)
 
 
+def test_the_merged_wavenet_store_cannot_repack_the_shared_leaves():
+    model = StylePredictorModel(np.random.default_rng(0), n_tags=4, n_phonemes=8, channels=8)
+    segments = Adam(model.params, lr=1e-3).store.pack()
+    leaf = model.wavenet.w_in
+    with pytest.raises(StateError, match="merged into the store holding 'cond.phoneme_emb'"):
+        model.wavenet.params.zero_grad()
+    assert any(np.shares_memory(leaf.data, seg.data) for seg in segments)
+    assert any(np.shares_memory(leaf.grad, seg.grad) for seg in segments)
+
+
 def test_accomp_segments_stay_under_128_kib():
     store = AccompFlowModel(np.random.default_rng(0), 3, experts=4).params
     names = store.names()
@@ -293,15 +303,16 @@ def test_accomp_op_counts_stay_at_most_the_fused_counts(monkeypatch):
     """Tensor ops, counted at tensor._make, of one 4-sample dense accomp
     training step and of a guided eval_accomp (gamma 3, 16 held-out clips,
     25 Euler steps).  The bounds are the counts with every expert stage and
-    the global mix fused (ffn and gated_sum); an op chain that comes back in
-    their place raises them."""
+    the global mix fused (ffn and gated_sum), the attention heads split and
+    merged in one op each, and the guided eval's condition-free stem run
+    once per clip; an op chain that comes back in their place raises them."""
     made = _op_counter(monkeypatch)
     model, _, (_, held) = train_accomp(seed=0, steps=1)
-    assert made[0] <= 812
+    assert made[0] <= 764
     made[0] = 0
     assert len(held) == 16
     eval_accomp(model, held, n_tags=model.n_tags, seed=0, gamma=3.0, infer_steps=25)
-    assert made[0] <= 15850
+    assert made[0] <= 14800
 
 
 def test_flow2d_op_count_stays_at_most_the_ffn_count(monkeypatch):
