@@ -193,16 +193,16 @@ class WaveNetEstimator:
     Gated residual blocks (tanh * sigmoid) with skip connections, the last
     skip-only; the time embedding is projected into the condition stream;
     the output projection is zero-initialized so the field starts at zero.
+    Its `wavenet.*` leaves are added to the caller's `params`.
     """
 
-    def __init__(self, x_channels, cond_channels, rng, residual_channels, layers):
+    def __init__(self, x_channels, cond_channels, rng, params: ParameterStore,
+                 residual_channels, layers):
         self.x_channels = x_channels
         self.cond_channels = cond_channels
         self.residual_channels = residual_channels
         self.dilations = [2 ** i for i in range(layers)]
-        self.params = ParameterStore()
-        p = self.params
-        r = residual_channels
+        p, r = params, residual_channels
         self.time = TimeEmbedding(cond_channels, rng, p, prefix="wavenet.time")
         self.w_in = p.add("wavenet.w_in", rng.standard_normal((r, x_channels)) / np.sqrt(x_channels))
         self._blocks = []

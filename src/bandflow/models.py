@@ -76,6 +76,8 @@ class AccompFlowModel:
         x = xt if isinstance(xt, Tensor) else Tensor(xt)
         if x.shape != v.shape:
             raise DimensionError(f"input {x.shape} and vocal track {v.shape} misaligned")
+        if x.ndim >= 2 and x.shape[-2] == 0:
+            raise DimensionError(f"input {x.shape} has no frames")
         if np.ndim(t):
             raise DimensionError(f"accomp takes one float time per call, got times of "
                                  f"shape {np.shape(t)}")
@@ -158,10 +160,9 @@ class StylePredictorModel:
                              rng.standard_normal((n_tags + 1, STYLE_TAG_TOKENS * e)) * 0.5)
         # row 0: dropped vocal prompt, row 1: vocal prompt present
         self.vocal_emb = p.add("cond.vocal_emb", rng.standard_normal((2, e)) * 0.5)
-        self.wavenet = WaveNetEstimator(channels, 2 * e, rng,
+        self.wavenet = WaveNetEstimator(channels, 2 * e, rng, p,
                                         residual_channels=STYLE_RESIDUAL_CHANNELS,
                                         layers=STYLE_WAVENET_LAYERS)
-        self.params.merge(self.wavenet.params)
 
     def condition(self, phonemes, tags, vocal_prompts):
         """The fused condition [B, 2*embed, P] of phoneme ids [B, P], tag

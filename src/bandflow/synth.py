@@ -17,13 +17,15 @@ FLOW2D_CENTERS = np.array([[-2.0, 0.0], [2.0, 0.0]])
 FLOW2D_SIGMA = 0.3
 FLOW2D_MIN_POINTS = 100      # fewest points gen_flow2d draws
 
-MAJOR_SCALE = np.array([0, 2, 4, 5, 7, 9, 11])
+MAJOR_SCALE = np.array([0, 2, 4, 5, 7, 9, 11])   # a grammar song's phoneme id is its degree
+GRAMMAR_TONICS = 12          # a grammar song's tag: its tonic pitch class
 GRAMMAR_TEMPI = (90.0, 120.0)
 GRAMMAR_BASE_PITCH = 60
 GRAMMAR_SONG_NOTES = 16
 SMOOTH_WIDTH = 5             # moving-average window of the toy vocal tracks
 STYLE_TOY_PHONEMES = 16      # phonemes per style-toy sample
 STYLE_TOY_CHANNELS = 8       # channels of a style-toy target field
+STYLE_TOY_VOCAB = 8          # gen_style_toy's default phoneme vocabulary
 
 
 def gen_flow2d(seed, n):
@@ -92,13 +94,13 @@ def gen_melody_grammar(seed, n_songs):
     rng = np.random.default_rng(seed)
     songs = []
     for _ in range(n_songs):
-        tonic = int(rng.integers(12))
+        tonic = int(rng.integers(GRAMMAR_TONICS))
         tempo = float(GRAMMAR_TEMPI[int(rng.integers(len(GRAMMAR_TEMPI)))])
-        degree = int(rng.integers(7))
+        degree = int(rng.integers(len(MAJOR_SCALE)))
         degrees = []
         for _ in range(GRAMMAR_SONG_NOTES):
             degrees.append(degree)
-            degree = min(max(degree + int(rng.integers(-2, 3)), 0), 6)
+            degree = min(max(degree + int(rng.integers(-2, 3)), 0), len(MAJOR_SCALE) - 1)
         degrees = np.asarray(degrees)
         pitches = (GRAMMAR_BASE_PITCH + tonic + MAJOR_SCALE[degrees]).tolist()
         durations = [0.5 if g % 2 == 0 else 1.0 for g in degrees]
@@ -117,7 +119,7 @@ class StyleSample:
     x1: np.ndarray         # target style field [channels, P]
 
 
-def gen_style_toy(seed, n, n_tags, n_phonemes=8):
+def gen_style_toy(seed, n, n_tags, n_phonemes=STYLE_TOY_VOCAB):
     """Phoneme-level style targets: a fixed random table per (tag, phoneme)."""
     rng = np.random.default_rng(seed)
     tables = rng.standard_normal((n_tags, n_phonemes, STYLE_TOY_CHANNELS))

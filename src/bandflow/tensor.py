@@ -508,6 +508,8 @@ def sum_(a, axis=None, keepdims=False):
 def mean(a, axis=None, keepdims=False):
     a = _as_tensor(a)
     n = a.size if axis is None else a.shape[axis]
+    if n == 0:
+        raise DimensionError(f"mean over zero elements: shape {a.shape}, axis {axis}")
     return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
@@ -516,6 +518,8 @@ def mean(a, axis=None, keepdims=False):
 
 def softmax(a, axis):
     a = _as_tensor(a)
+    if a.shape[axis] == 0:
+        raise DimensionError(f"softmax over zero-length axis {axis}: {a.shape}")
     if not np.isfinite(a.data).all():
         raise NumericError("softmax input contains non-finite values")
     # shift, exp and normalise in one buffer
@@ -788,35 +792,21 @@ class _Segment:
 
 class ParameterStore:
     """Named map of trainable leaves; iteration is lexicographic.  After
-    `pack()`, `add` and `merge` raise and no leaf's data or grad is rebound.
-    A store merged into another is closed: reads still work, but `add`,
-    `pack` and `zero_grad` raise, since its leaves belong to the other's
-    segments; a packed store cannot be merged."""
+    `pack()`, `add` raises and no leaf's data or grad is rebound."""
 
     def __init__(self):
         self._params = {}
         self._names = []
         self._segments = None
-        self._owner = None
 
-    def _check_open(self, action):
-        if self._owner is not None:
-            names = self._owner.names()
-            owner = f"the store holding {names[0]!r}" if names else "an empty store"
-            raise StateError(f"cannot {action}: the store was merged into {owner}")
-
-    def _put(self, name, t):
-        self._check_open(f"add {name!r}")
+    def add(self, name, value):
         if self._segments is not None:
             raise StateError(f"cannot add {name!r}: the store is packed")
         if name in self._params:
             raise StateError(f"duplicate parameter name {name!r}")
-        self._params[name] = t
+        t = self._params[name] = Tensor(value, requires_grad=True)
         bisect.insort(self._names, name)
         return t
-
-    def add(self, name, value):
-        return self._put(name, Tensor(value, requires_grad=True))
 
     def __getitem__(self, name):
         return self._params[name]
@@ -830,7 +820,6 @@ class ParameterStore:
 
     def pack(self):
         """The segments, made once: at most SEGMENT_FLOATS floats or one leaf each."""
-        self._check_open("pack")
         if self._segments is None:
             groups, size = [], float("inf")
             for name, t in self.items():
@@ -845,11 +834,3 @@ class ParameterStore:
     def zero_grad(self):
         for seg in self.pack():
             seg.grad.fill(0.0)
-
-    def merge(self, other):
-        other._check_open("merge it again")
-        if other._segments is not None:
-            raise StateError("cannot merge a packed store: its leaves live in its own segments")
-        for name, t in other.items():
-            self._put(name, t)
-        other._owner = self

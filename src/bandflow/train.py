@@ -21,7 +21,8 @@ from .metrics import evaluate_pairs
 from .models import AccompFlowModel, StylePredictorModel
 from .moe import RouterState, TAU_LOW, gate_entropy, tau_schedule
 from .optim import Adam
-from .synth import gen_flow2d, gen_melody_grammar, gen_style_toy, gen_toy_pairs, tag_transform
+from .synth import (GRAMMAR_TONICS, MAJOR_SCALE, STYLE_TOY_VOCAB, gen_flow2d, gen_melody_grammar,
+                    gen_style_toy, gen_toy_pairs, tag_transform)
 from .tensor import Tape, Tensor, backward
 
 ROUTE_COLUMNS = ("group", "unit", "expert", "entropy", "tau", "t")
@@ -118,7 +119,7 @@ def sample_flow2d(est, n, seed, trace):
 def train_style_predictor(seed, steps, warmup_steps=0):
     data = gen_style_toy(seed, STYLE_SAMPLES, n_tags=STYLE_TAGS)
     rng = np.random.default_rng(seed + 1)
-    model = StylePredictorModel(rng, n_tags=STYLE_TAGS, n_phonemes=8,
+    model = StylePredictorModel(rng, n_tags=STYLE_TAGS, n_phonemes=STYLE_TOY_VOCAB,
                                 channels=data[0].x1.shape[0])
 
     def draws(step):
@@ -237,7 +238,8 @@ def train_melody(seed, steps, batch=8, n_songs=MELODY_SONGS, holdout=20,
     songs = gen_melody_grammar(seed, n_songs)
     train_songs, held = songs[:-holdout], songs[-holdout:]
     rng = np.random.default_rng(seed + 1)
-    model = MelodyModel(n_phonemes=7, n_tags=12, rng=rng, width=width, layers=layers)
+    model = MelodyModel(n_phonemes=len(MAJOR_SCALE), n_tags=GRAMMAR_TONICS, rng=rng,
+                        width=width, layers=layers)
 
     def batch_loss():
         picked = [train_songs[int(rng.integers(len(train_songs)))] for _ in range(batch)]

@@ -86,13 +86,14 @@ def test_conv1d(B, T, c_in, c_out, dilation, seed):
 @example(B=2, T=1, channels=2, seed=0)
 def test_wavenet_estimator(B, T, channels, seed):
     rng = np.random.default_rng(seed)
-    est = WaveNetEstimator(channels, 3, rng, residual_channels=4, layers=2)
-    _randomized(est.params, seed + 1)
+    params = ParameterStore()
+    est = WaveNetEstimator(channels, 3, rng, params, residual_channels=4, layers=2)
+    _randomized(params, seed + 1)
     times = rng.integers(100, size=B) / 100.0
     _check(lambda x, c: (est(x, times, c),),
            lambda i, x, c: (est(x, float(times[i]), c),),
            B, [rng.standard_normal((B, channels, T)), rng.standard_normal((B, 3, T))],
-           est.params)
+           params)
 
 
 @PROPERTY

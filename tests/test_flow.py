@@ -18,7 +18,7 @@ from bandflow.flow import (
     stack_flow_samples,
 )
 from bandflow.optim import Adam
-from bandflow.tensor import Tape, Tensor, backward
+from bandflow.tensor import ParameterStore, Tape, Tensor, backward
 
 
 class ConstantField:
@@ -251,14 +251,14 @@ def test_sinusoidal_embedding_matches_the_direct_formula_bitwise(t):
 class TestWaveNet:
     def test_zero_field_at_init(self):
         rng = np.random.default_rng(0)
-        est = WaveNetEstimator(2, 3, rng, residual_channels=32, layers=4)
+        est = WaveNetEstimator(2, 3, rng, ParameterStore(), residual_channels=32, layers=4)
         out = est(Tensor(rng.standard_normal((2, 10))), 0.3,
                   Tensor(rng.standard_normal((3, 10))))
         np.testing.assert_array_equal(out.data, np.zeros((2, 10)))
 
     def test_output_shape_contract(self):
         rng = np.random.default_rng(1)
-        est = WaveNetEstimator(3, 2, rng, residual_channels=8, layers=2)
+        est = WaveNetEstimator(3, 2, rng, ParameterStore(), residual_channels=8, layers=2)
         for T in (5, 12, 31):
             out = est(Tensor(rng.standard_normal((3, T))), 0.5,
                       Tensor(rng.standard_normal((2, T))))
@@ -266,17 +266,18 @@ class TestWaveNet:
 
     def test_condition_length_mismatch(self):
         rng = np.random.default_rng(2)
-        est = WaveNetEstimator(2, 2, rng, residual_channels=32, layers=4)
+        est = WaveNetEstimator(2, 2, rng, ParameterStore(), residual_channels=32, layers=4)
         with pytest.raises(DimensionError):
             est(Tensor(np.zeros((2, 8))), 0.1, Tensor(np.zeros((2, 9))))
 
     def test_overfit_single_sample(self):
         rng = np.random.default_rng(3)
-        est = WaveNetEstimator(2, 2, rng, residual_channels=16, layers=3)
+        params = ParameterStore()
+        est = WaveNetEstimator(2, 2, rng, params, residual_channels=16, layers=3)
         x1 = rng.standard_normal((2, 16))
         cond = rng.standard_normal((2, 16))
         x0 = rng.standard_normal((2, 16))
-        opt = Adam(est.params, lr=5e-3)
+        opt = Adam(params, lr=5e-3)
         loss_val = None
         for step in range(2000):
             t = float(rng.integers(100)) / 100

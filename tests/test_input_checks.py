@@ -9,7 +9,7 @@ import pytest
 import bandflow.tensor as tt
 from bandflow.blocks import GatedAttention, positional_encoding, rope_rotate, style_alignment_stack
 from bandflow.checkpoint import load_into, save_checkpoint
-from bandflow.errors import BoundsError, ConfigError, DataError, DimensionError, StateError
+from bandflow.errors import BoundsError, ConfigError, DataError, DimensionError
 from bandflow.flow import FlowConfig, FlowSample, WaveNetEstimator, cfm_loss
 from bandflow.melody import REST, MelodyModel, NoteSequence, load_notes
 from bandflow.metrics import apd_td
@@ -27,13 +27,24 @@ def _z(*shape):
 
 
 def _wavenet_wrong_channels():
-    est = WaveNetEstimator(3, 4, _rng(), residual_channels=4, layers=1)
+    est = WaveNetEstimator(3, 4, _rng(), ParameterStore(), residual_channels=4, layers=1)
     est(np.zeros((2, 5)), 0.5, np.zeros((4, 5)))
+
+
+def _wavenet_empty_sample_loss():
+    est = WaveNetEstimator(3, 4, _rng(), ParameterStore(), residual_channels=4, layers=1)
+    cfm_loss(est, FlowSample(x0=np.zeros((3, 0)), x1=np.zeros((3, 0)), t=0.5), np.zeros((4, 0)))
 
 
 def _accomp_misaligned():
     model = AccompFlowModel(_rng(), 2, data_dim=4, width=8, blocks=1, experts=2)
     model(np.zeros((6, 4)), 0.5, (np.zeros((5, 4)), 0))
+
+
+def _accomp_no_frames(*lead):
+    model = AccompFlowModel(_rng(), 2, data_dim=4, width=8, blocks=1, experts=2)
+    x = np.zeros(lead + (0, 4))
+    model(x, 0.5, (x, np.zeros(lead, dtype=np.int64) if lead else 0))
 
 
 def _accomp_and_clips():
@@ -54,13 +65,6 @@ def _balance_after_batched_forward():
     model, x, cond = _accomp_and_clips()
     model(x, 0.5, cond)
     model.balance()
-
-
-def _merge_duplicate():
-    a, b = ParameterStore(), ParameterStore()
-    a.add("w", np.zeros(1))
-    b.add("w", np.zeros(1))
-    a.merge(b)
 
 
 def _route_aligned_token_mismatch():
@@ -133,7 +137,6 @@ CASES = {
     "rotate_pairs_odd_width": (lambda: tt.rotate_pairs(_z(2, 3), np.ones(1), np.zeros(1)),
                                ConfigError, "even width"),
     "layernorm_zero_axis": (lambda: tt.layernorm(_z(2, 0)), DimensionError, "zero-length"),
-    "merge_duplicate_name": (_merge_duplicate, StateError, "duplicate parameter name 'w'"),
     "split_heads_uneven_width": (lambda: tt.split_heads(_z(3, 5), 2), DimensionError,
                                  r"cannot split \(3, 5\) into 2 heads"),
     "merge_heads_rank": (lambda: tt.merge_heads(_z(3, 4)), DimensionError,
@@ -147,6 +150,18 @@ CASES = {
         DataError, "at least one phoneme"),
     "positional_encoding_odd_width": (lambda: positional_encoding(4, 5), ConfigError,
                                       "even width"),
+    "mean_zero_axis": (lambda: tt.mean(_z(2, 0), axis=1), DimensionError,
+                       r"mean over zero elements: shape \(2, 0\), axis 1"),
+    "mse_empty": (lambda: tt.mse(np.zeros(0), np.zeros(0)), DimensionError,
+                  "mean over zero elements"),
+    "cfm_loss_empty_wavenet_sample": (_wavenet_empty_sample_loss, DimensionError,
+                                      r"mean over zero elements: shape \(3, 0\)"),
+    "softmax_zero_axis": (lambda: tt.softmax(_z(3, 0), axis=-1), DimensionError,
+                          r"softmax over zero-length axis -1: \(3, 0\)"),
+    "accomp_clip_no_frames": (_accomp_no_frames, DimensionError,
+                              r"input \(0, 4\) has no frames"),
+    "accomp_batch_no_frames": (lambda: _accomp_no_frames(2), DimensionError,
+                               r"input \(2, 0, 4\) has no frames"),
     "apd_td_only_rests": (
         lambda: apd_td(NoteSequence(pitches=[REST], durations=[1.0], tempo=120.0),
                        NoteSequence(pitches=[60], durations=[1.0], tempo=120.0)),

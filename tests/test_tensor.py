@@ -324,37 +324,13 @@ class TestParameterStore:
         store.zero_grad()
         assert not any(seg.grad.any() for seg in segments)
 
-    def test_add_and_merge_after_pack_raise(self):
-        store, other = ParameterStore(), ParameterStore()
+    def test_add_after_pack_raises(self):
+        store = ParameterStore()
         store.add("a", [1.0])
-        other.add("b", [1.0])
         Adam(store, lr=0.1)
         with pytest.raises(StateError, match="packed"):
             store.add("c", [1.0])
-        with pytest.raises(StateError, match="packed"):
-            store.merge(other)
         assert store.names() == ["a"]
-
-    def test_a_merged_store_is_closed_to_writes_and_open_to_reads(self):
-        store, other = ParameterStore(), ParameterStore()
-        store.add("a", [1.0])
-        other.add("b", [2.0])
-        store.merge(other)
-        for write in (lambda: other.add("c", [1.0]), other.pack, other.zero_grad,
-                      lambda: ParameterStore().merge(other)):
-            with pytest.raises(StateError, match="merged into the store holding 'a'"):
-                write()
-        assert other.names() == ["b"]
-        assert [(name, t) for name, t in other.items()] == [("b", store["b"])]
-        assert other["b"] is store["b"]
-
-    def test_merging_a_packed_store_raises(self):
-        store, other = ParameterStore(), ParameterStore()
-        other.add("b", [2.0])
-        Adam(other, lr=0.1)
-        with pytest.raises(StateError, match="cannot merge a packed store"):
-            store.merge(other)
-        assert store.names() == []
 
 
 def test_public_names_resolve():

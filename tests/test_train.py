@@ -5,13 +5,13 @@ import bandflow.tensor as tt
 import bandflow.train as train_module
 
 from bandflow.checkpoint import load_into, save_checkpoint
-from bandflow.errors import NumericError, StateError
-from bandflow.flow import FlowSample, cfm_loss, stack_flow_samples
+from bandflow.errors import NumericError
+from bandflow.flow import FlowSample, MLPEstimator, cfm_loss, stack_flow_samples
 from bandflow.melody import MelodyModel, NoteSequence, melody_loss
 from bandflow.models import AccompFlowModel, StylePredictorModel
 from bandflow.optim import ADAM_BETAS, ADAM_EPS, Adam
 from bandflow.synth import MelodySample, gen_melody_grammar, gen_style_toy
-from bandflow.tensor import ParameterStore, Tape, backward
+from bandflow.tensor import ParameterStore, Tape, Tensor, backward
 from acceptance_helpers import flow2d_mode_stats, random_melody_baseline
 from bandflow.train import (
     eval_accomp,
@@ -204,14 +204,38 @@ def test_packed_adam_matches_the_per_name_loop_bitwise(monkeypatch, frozen):
     assert run(Adam) == run(_PerNameAdam)
 
 
-def test_the_merged_wavenet_store_cannot_repack_the_shared_leaves():
-    model = StylePredictorModel(np.random.default_rng(0), n_tags=4, n_phonemes=8, channels=8)
-    segments = Adam(model.params, lr=1e-3).store.pack()
-    leaf = model.wavenet.w_in
-    with pytest.raises(StateError, match="merged into the store holding 'cond.phoneme_emb'"):
-        model.wavenet.params.zero_grad()
-    assert any(np.shares_memory(leaf.data, seg.data) for seg in segments)
-    assert any(np.shares_memory(leaf.grad, seg.grad) for seg in segments)
+def _stores_and_leaves(obj, seen, stores, leaves):
+    """Every ParameterStore and trainable Tensor reachable from `obj` through
+    the attributes of bandflow objects, lists, tuples and dicts."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, ParameterStore):
+        stores.append(obj)
+    elif isinstance(obj, Tensor):
+        if obj.requires_grad:
+            leaves.append(obj)
+    elif isinstance(obj, (list, tuple, dict)):
+        for item in obj.values() if isinstance(obj, dict) else obj:
+            _stores_and_leaves(item, seen, stores, leaves)
+    elif type(obj).__module__.startswith("bandflow."):
+        for item in vars(obj).values():
+            _stores_and_leaves(item, seen, stores, leaves)
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: MLPEstimator(2, 8, rng),
+    lambda rng: AccompFlowModel(rng, 3, data_dim=4, width=8, blocks=2, experts=2),
+    lambda rng: StylePredictorModel(rng, n_tags=4, n_phonemes=8, channels=8),
+    lambda rng: MelodyModel(n_phonemes=7, n_tags=12, rng=rng, width=8, layers=2),
+], ids=["flow2d", "accomp", "style", "melody"])
+def test_a_model_is_one_store_its_submodules_build_into(make):
+    model = make(np.random.default_rng(0))
+    stores, leaves = [], []
+    _stores_and_leaves(model, set(), stores, leaves)
+    assert stores == [model.params]
+    owned = {id(model.params[name]) for name in model.params.names()}
+    assert leaves and all(id(t) in owned for t in leaves)
 
 
 def test_accomp_segments_stay_under_128_kib():
