@@ -175,7 +175,13 @@ class BandMoE:
         logits = tt.matmul(stats, self.w_acoustic)
         gates = gumbel_gate(logits, state.tau, state.rng, state.mode)
         self.last_gates["acoustic"] = gates
-        return tt.gated_sum([ex(o_combined) for ex in self.acoustic], gates, _channel_column)
+        # hard mode runs only the experts some channel picks, as an unpicked
+        # expert's term would be an exact +-0; a call with no channels runs all
+        picked = np.arange(self.n)
+        if state.mode == "hard" and gates.data.size:
+            picked = np.flatnonzero(gates.data.reshape(-1, self.n).any(axis=0))
+        return tt.gated_sum([self.acoustic[j](o_combined) for j in picked], gates,
+                            lambda i: _channel_column(picked[i]))
 
     # -- full layer ---------------------------------------------------------
 

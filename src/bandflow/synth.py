@@ -45,37 +45,46 @@ class ToyPair:
 
 
 def _smooth(x):
+    """Edge-padded moving average of width SMOOTH_WIDTH along axis -2 of
+    x [..., T, d]; leading axes are independent rows."""
+    T, pad = x.shape[-2], SMOOTH_WIDTH // 2
+    xp = x[..., np.clip(np.arange(-pad, T + pad), 0, T - 1), :]
     kernel = np.ones(SMOOTH_WIDTH) / SMOOTH_WIDTH
-    pad = SMOOTH_WIDTH // 2
-    xp = np.pad(x, ((pad, pad), (0, 0)), mode="edge")
     out = np.zeros_like(x)
     for k in range(SMOOTH_WIDTH):
-        out += kernel[k] * xp[k:k + x.shape[0]]
+        out += kernel[k] * xp[..., k:k + T, :]
     return out
 
 
 def tag_transform(v, tag, n_tags):
-    """The known tag-dependent map from a vocal track to its accompaniment."""
-    T, d = v.shape
+    """The known tag-dependent map from a vocal track to its accompaniment:
+    v [T, d] with one tag, or v [n, T, d] with tags [n]."""
+    T = v.shape[-2]
+    tag = np.asarray(tag)[..., None, None]
     scale = 0.8 + 0.5 * tag / max(1, n_tags - 1)
     phase = 2.0 * np.pi * (tag + 1) / (n_tags + 1)
-    offset = 0.4 * np.sin(2.0 * np.pi * np.arange(T) / T * (tag + 1) + phase)
-    return scale * _smooth(v) + offset[:, None]
+    offset = 0.4 * np.sin(2.0 * np.pi * np.arange(T)[:, None] / T * (tag + 1) + phase)
+    return scale * _smooth(v) + offset
 
 
 def gen_toy_pairs(seed, n, n_tags, T=64, d=16):
-    """Vocal-like smoothed random walks paired with tag-transformed targets."""
+    """Vocal-like smoothed random walks paired with tag-transformed targets.
+
+    Every pair's tag and steps are drawn first, in pair order; the walks
+    and the targets are then smoothed in one stacked call each."""
     if n_tags < 2:
         raise ConfigError("need at least two style tags")
     rng = np.random.default_rng(seed)
-    pairs = []
-    for _ in range(n):
-        tag = int(rng.integers(n_tags))
-        steps = rng.standard_normal((T, d)) * 0.3
-        v = _smooth(np.cumsum(steps, axis=0))
-        v = v / max(1e-8, v.std())
-        pairs.append(ToyPair(v=v, a=tag_transform(v, tag, n_tags), tag=tag))
-    return pairs
+    tags = np.empty(n, dtype=np.int64)
+    steps = np.empty((n, T, d))
+    for i in range(n):
+        tags[i] = rng.integers(n_tags)
+        steps[i] = rng.standard_normal((T, d)) * 0.3
+    vs = _smooth(np.cumsum(steps, axis=1))
+    for v in vs:
+        v /= max(1e-8, v.std())
+    return [ToyPair(v=v, a=a, tag=int(tag))
+            for v, a, tag in zip(vs, tag_transform(vs, tags, n_tags), tags)]
 
 
 @dataclass

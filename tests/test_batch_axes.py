@@ -2,7 +2,8 @@
 stack and model, and the note model.  A forward over B rows must equal the
 stack of its B one-row calls bit for bit, and its gradients must match
 theirs to 1e-12 relative: input gradients row by row, parameter gradients
-as the sum over rows."""
+as the sum over rows.  The toy accompaniment data's smoother and tag map,
+which carry no gradient, must equal their one-row calls bit for bit."""
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -13,6 +14,7 @@ from bandflow.blocks import style_alignment_stack
 from bandflow.flow import WaveNetEstimator
 from bandflow.melody import MelodyModel
 from bandflow.models import StylePredictorModel
+from bandflow.synth import _smooth, tag_transform
 from bandflow.tensor import ParameterStore, Tape, Tensor, backward
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
@@ -143,3 +145,16 @@ def test_melody_model(B, n, seed):
     tags = rng.integers(3, size=B)
     _check(lambda: model.forward(phonemes, tags),
            lambda i: model.forward(phonemes[i], tags[i]), B, params=model.params)
+
+
+@PROPERTY
+@given(B=ROWS, T=LENGTHS, d=st.integers(1, 4), seed=SEEDS)
+@example(B=3, T=1, d=2, seed=0)
+def test_toy_smoother_and_tag_map(B, T, d, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((B, T, d))
+    tags = rng.integers(4, size=B)
+    np.testing.assert_array_equal(_smooth(v), np.stack([_smooth(row) for row in v]))
+    np.testing.assert_array_equal(tag_transform(v, tags, 4),
+                                  np.stack([tag_transform(row, int(tag), 4)
+                                            for row, tag in zip(v, tags)]))

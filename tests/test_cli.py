@@ -42,6 +42,22 @@ class TestUsage:
         code, _, _ = run(["train", "--model", "nope"], capsys)
         assert code == 1
 
+    def test_readme_cli_block_parses(self):
+        """Each line of README's fenced block under `## CLI`, less `bandflow`
+        and its trailing comment, parses with the real parser; none runs.
+        Each flag must set the value it names, so one that parses only as
+        an abbreviation of a renamed flag fails too."""
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+        block = section.split("```sh\n", 1)[1].split("\n```", 1)[0]
+        lines = [argv for line in block.splitlines() if (argv := line.split("#", 1)[0].split())]
+        assert lines
+        for argv in lines:
+            assert argv[0] == "bandflow", argv
+            parsed = build_parser().parse_args(argv[1:])
+            for flag in (a for a in argv if a.startswith("--")):
+                assert hasattr(parsed, flag[2:].replace("-", "_")), (flag, argv)
+
 
 class TestGenData:
     def test_flow2d_csv(self, tmp_path, capsys):

@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 import bandflow.tensor as tt
-from bandflow.errors import ConfigError
+from bandflow.blocks import FeedForward
+from bandflow.errors import ConfigError, NumericError
+from bandflow.flow import FlowConfig, euler_sample
+from bandflow.models import AccompFlowModel
 from bandflow.moe import (
     TAU_HIGH,
     TAU_LOW,
     BandMoE,
     PlainBandFFN,
     RouterState,
+    _channel_column,
     balance_loss,
     gate_entropy,
     gumbel_gate,
@@ -280,6 +284,106 @@ class TestHardRoutingPicksOneExpert:
             lead, c = idx[:-1], idx[-1]
             expect = expert_out[picks[idx]][lead + (slice(None), c)]
             np.testing.assert_array_equal(out[lead + (slice(None), c)], expect)
+
+
+def _spy_on_experts(monkeypatch):
+    """The FeedForward objects called from now on, one entry per call."""
+    called = []
+    ffn_call = FeedForward.__call__
+
+    def spy(self, h):
+        called.append(self)
+        return ffn_call(self, h)
+
+    monkeypatch.setattr(FeedForward, "__call__", spy)
+    return called
+
+
+def _acoustic_all_experts(moe, h, state):
+    """The oracle: route_acoustic's mix with every expert run, picked or not."""
+    m = tt.mean(h, axis=-2, keepdims=True)
+    var = tt.sub(tt.mean(tt.mul(h, h), axis=-2, keepdims=True), tt.mul(m, m))
+    stats = tt.swapaxes(tt.concat([m, var], axis=-2), -1, -2)
+    gates = gumbel_gate(tt.matmul(stats, moe.w_acoustic), state.tau, state.rng, state.mode)
+    return tt.gated_sum([ex(h) for ex in moe.acoustic], gates, _channel_column)
+
+
+def _skipping_moe(seed):
+    """Three acoustic experts routed by the sign of a channel's mean; expert
+    2's logit, -var, never beats |mean|, so no channel picks it."""
+    moe, params, rng = _moe(d=4, n=3, seed=seed)
+    moe.w_acoustic.data[...] = [[1.0, -1.0, 0.0], [0.0, 0.0, -1.0]]
+    return moe, params, rng
+
+
+class TestHardRoutingSkipsUnpickedAcousticExperts:
+    """Hard mode runs only the acoustic experts some channel picks; the mix
+    keeps the all-experts mix's bits, since each skipped term is an exact
+    +-0.  Dense mode runs every expert."""
+
+    HARD = RouterState(tau=TAU_LOW, mode="hard", rng=None)
+    SHIFT = np.array([2.0, -2.0, -2.0, 2.0])
+
+    @pytest.mark.parametrize("shape", [(6, 4), (3, 6, 4)])
+    def test_unpicked_expert_is_not_called(self, monkeypatch, shape):
+        moe, _, rng = _skipping_moe(seed=12)
+        h = Tensor(rng.standard_normal(shape) + self.SHIFT)
+        expect = _acoustic_all_experts(moe, h, self.HARD).data
+        called = _spy_on_experts(monkeypatch)
+        out = moe.route_acoustic(h, self.HARD).data
+        picks = moe.last_gates["acoustic"].data.argmax(axis=-1)
+        assert set(picks.ravel()) == {0, 1}
+        assert called == moe.acoustic[:2]
+        assert out.tobytes() == expect.tobytes()
+
+    def test_an_empty_batch_picks_no_expert_and_still_mixes(self):
+        moe, _, _ = _skipping_moe(seed=12)
+        assert moe.route_acoustic(Tensor(np.zeros((0, 6, 4))), self.HARD).shape == (0, 6, 4)
+
+    def test_dense_mode_calls_an_expert_whose_gate_underflows(self, monkeypatch):
+        moe, _, rng = _moe(d=4, n=3, seed=13)
+        moe.w_acoustic.data[...] = [[1.0, -1.0, 0.0], [0.0, 0.0, -1e4]]
+        h = Tensor(rng.standard_normal((6, 4)) + self.SHIFT)
+        called = _spy_on_experts(monkeypatch)
+        moe.route_acoustic(h, RouterState(tau=TAU_LOW, mode="dense", rng=None))
+        assert (moe.last_gates["acoustic"].data[:, 2] == 0.0).all()
+        assert called == moe.acoustic
+
+    def test_gradients_match_the_all_experts_mix(self):
+        results = []
+        for route in (BandMoE.route_acoustic, _acoustic_all_experts):
+            moe, params, rng = _skipping_moe(seed=14)
+            h = Tensor(rng.standard_normal((2, 6, 4)) + self.SHIFT, requires_grad=True)
+            w = rng.standard_normal((2, 6, 4))
+            with Tape():
+                backward(tt.sum_(tt.mul(route(moe, h, self.HARD), w)))
+            results.append(_bytes([h.grad] + [t.grad for name, t in params.items()
+                                              if ".acoustic.expert2." not in name]))
+            skipped = [t.grad for name, t in params.items() if ".acoustic.expert2." in name]
+            assert len(skipped) == 4 and all((g == 0.0).all() for g in skipped)
+        assert results[0] == results[1]
+
+    def test_nan_in_an_unpicked_expert_does_not_reach_the_output(self):
+        moe, _, rng = _skipping_moe(seed=15)
+        h = Tensor(rng.standard_normal((6, 4)) + self.SHIFT)
+        clean = moe.route_acoustic(h, self.HARD).data
+        moe.acoustic[2].w2.data[0, 0] = np.nan
+        assert moe.route_acoustic(h, self.HARD).data.tobytes() == clean.tobytes()
+
+    def test_nan_in_a_picked_expert_still_stops_the_sampler(self):
+        rng = np.random.default_rng(16)
+        model = AccompFlowModel(rng, n_tags=2, data_dim=4, width=8, blocks=1, experts=3)
+        model.moes[0].w_acoustic.data[...] = [[1.0, -1.0, 0.0], [0.0, 0.0, -1.0]]
+        model.state = self.HARD
+        x0 = rng.standard_normal((2, 6, 4))
+        cond = (rng.standard_normal((2, 6, 4)), np.array([0, 1]))
+        cfg = FlowConfig(infer_steps=2, cfg_scale=1.0)
+        model.moes[0].acoustic[2].w2.data[0, 0] = np.nan
+        assert np.isfinite(euler_sample(model, x0, cond, cfg).data).all()
+        picked = int(model.moes[0].last_gates["acoustic"].data.argmax(axis=-1).ravel()[0])
+        model.moes[0].acoustic[picked].w2.data[0, 0] = np.nan
+        with pytest.raises(NumericError, match="step 0"):
+            euler_sample(model, x0, cond, cfg)
 
 
 def _bytes(arrays):
